@@ -151,9 +151,3 @@ def bessel_j0_integral(f, rho, n_cells: int = 80, n_gl: int = 16,
                 "integrand decays too slowly for the J0 quadrature")
     return out if np.ndim(rho) else float(out[0])
 
-
-def decaying_integral(f, t_max: float, n_seg: int = 16, n_gl: int = 32):
-    """int_0^t_max f(t) dt for a smooth decaying f, by segmented GL."""
-    edges = np.linspace(0.0, t_max, n_seg + 1)
-    x, w = gl_segments(edges, n_gl)
-    return float(np.sum(w * f(x)))

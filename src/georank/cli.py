@@ -20,11 +20,11 @@ import numpy as np
 from . import selftest as selftest_mod
 from .depth import contour as depth_contour
 from .depth import probability_content_surface, radial_content_oracle
-from .errors import (ConfigError, GeorankError, NonConvergenceError,
-                     ParityError, ParseError)
+from .errors import (BudgetError, ConfigError, GeorankError,
+                     NonConvergenceError, ParityError, ParseError)
 from .measures import RadialClosedForm, empirical_from_csv
 from .quantile import QuantileQuery, solve_quantile
-from .rankfield import RankEvaluator
+from .rankfield import _EVAL_BLOCK, _GRID_NODE_CAP, RankEvaluator
 from .reconstruct import (ReconstructionConfig, reconstruct_even_singular,
                           reconstruct_extension, reconstruct_isotropic_hankel,
                           reconstruct_odd_local)
@@ -43,7 +43,7 @@ _COMMON_FLAGS = [
     ("--seed", int, None, "RNG seed (required for randomized paths)"),
     ("--out", str, None, "output path (default: stdout)"),
     ("--format", str, "csv", "output format: csv | json"),
-    ("--threads", int, None, "worker-pool cap (default: all cores)"),
+    ("--threads", int, None, "worker-pool cap (default: serial)"),
     ("--config", str, None, "JSON file of flag defaults; flags win"),
 ]
 
@@ -196,7 +196,18 @@ def load_table(path):
 
 
 def _read_points(path, d=None):
-    _, data = load_table(path)
+    names, data = load_table(path)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        # file line of that data row: loadtxt skips the header, blank lines
+        # and '#' comments
+        skip = 1 if names is not None else 0
+        with open(path, encoding="utf-8") as fh:
+            lines = [i for i, ln in enumerate(fh, start=1)
+                     if i > skip and ln.split("#", 1)[0].strip()]
+        raise ParseError(f"{path}: row {lines[row]}, column {col + 1}: "
+                         "not a finite number")
     if d is not None and data.shape[1] != d:
         raise ConfigError(f"{path}: points have {data.shape[1]} columns, "
                           f"expected {d}")
@@ -229,6 +240,9 @@ def cmd_rank(args):
         if len(lo_hi_n) != 3:
             raise ConfigError("grid spec must be lo:hi:n")
         lo, hi, n = float(lo_hi_n[0]), float(lo_hi_n[1]), int(lo_hi_n[2])
+        if n ** ev.d > _GRID_NODE_CAP:
+            raise BudgetError(f"{n}^{ev.d} grid nodes exceed the cap of "
+                              f"{_GRID_NODE_CAP}")
         axes = [np.linspace(lo, hi, n)] * ev.d
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -238,9 +252,12 @@ def cmd_rank(args):
     at_atom = None
     if ev.mode == "exact":
         atoms = measure.atoms
-        dist = np.min(np.linalg.norm(pts[:, None, :] - atoms[None, :, :],
-                                     axis=2), axis=1)
-        at_atom = (dist < 1e-12).astype(int)
+        step = max(1, _EVAL_BLOCK // atoms.shape[0])
+        at_atom = np.empty(pts.shape[0], dtype=int)
+        for i in range(0, pts.shape[0], step):
+            blk = pts[i:i + step, None, :] - atoms[None, :, :]
+            dist = np.linalg.norm(blk, axis=2).min(axis=1)
+            at_atom[i:i + step] = dist < 1e-12
     if args.format == "json":
         payload = {"points": pts.tolist(), "rank": ranks.tolist()}
         if at_atom is not None:

@@ -32,6 +32,7 @@ self test prints both values as a reminder.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -438,10 +439,11 @@ def sample(m: Measure, n: int, seed: int) -> np.ndarray:
 def empirical_from_csv(path, d: int = None) -> Empirical:
     """Read an empirical measure from a CSV of numeric rows.
 
-    Every row must have the same width.  When ``d`` is given and the rows
-    have d+1 columns, the final column is taken as weights; otherwise all
-    columns are coordinates and weights are uniform.  A non-numeric first row
-    is treated as a header and skipped.
+    Every row must have the same width and hold finite numbers; ``nan`` and
+    ``inf`` raise ParseError with their row and column.  When ``d`` is given
+    and the rows have d+1 columns, the final column is taken as weights;
+    otherwise all columns are coordinates and weights are uniform.  A
+    non-numeric first row is treated as a header and skipped.
     """
     rows = []
     width = None
@@ -459,6 +461,11 @@ def empirical_from_csv(path, d: int = None) -> Empirical:
                            if not _is_float(c))
                 raise ParseError(
                     f"{path}: row {i}, column {bad}: not a number") from exc
+            if not all(map(math.isfinite, vals)):
+                bad = next(j for j, v in enumerate(vals, start=1)
+                           if not math.isfinite(v))
+                raise ParseError(
+                    f"{path}: row {i}, column {bad}: not a finite number")
             if width is None:
                 width = len(vals)
             elif len(vals) != width:

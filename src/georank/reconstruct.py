@@ -9,7 +9,9 @@ Laplacian, realized three interchangeable ways:
   correction beyond the truncation radius;
 * ``hankel``    - order-zero Hankel transform route for isotropic fields
   (forward transform of the divergence profile, multiply by |xi|, transform
-  back, using that the isotropic Fourier transform is an involution);
+  back, using that the isotropic Fourier transform is an involution); the
+  inner transform is evaluated once on one fixed Gauss-Legendre rule over
+  the frequency axis, and that outer rule is shared by every output radius;
 * ``extension`` - harmonic extension to the upper half space: the density is
   the boundary limit of -d/dt of the extension, evaluated at small heights t
   via the Poisson kernel and Richardson-extrapolated in t.  For an empirical
@@ -20,11 +22,13 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.special import j0
 
 from . import specfun as sf
-from ._quadrature import (bessel_j0_integral, circle_rule, decaying_integral,
-                          geometric_edges, gl_nodes, gl_segments, sphere_rule)
-from .errors import BudgetError, ParityError, ParseError, ToleranceError
+from ._quadrature import (bessel_j0_integral, circle_rule, geometric_edges,
+                          gl_nodes, gl_segments, sphere_rule)
+from .errors import (BudgetError, DecayError, ParityError, ParseError,
+                     ToleranceError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
                        density as measure_density, radial_profile)
 from .rankfield import (RankEvaluator, VectorGridField, fd_divergence,
@@ -420,11 +424,27 @@ def divergence_fourier_profile(ev: RankEvaluator, xi):
     return out.reshape(np.shape(xi)) if np.ndim(xi) else float(out[0])
 
 
+# Outer rule of the Hankel chain: Gauss-Legendre on t in [0, T], shared by
+# every output radius.  |xi| F(div R) decays like e^{-2 pi^2 t^2} (Gaussian)
+# or e^{-2 pi t} (Cauchy), so T = 4 leaves a negligible tail; beyond it the
+# inner J0 window sees only the head of s*h(s) and V loses its decay.
+_HANKEL_T = 4.0
+_HANKEL_SEGMENTS = 16
+_HANKEL_GL = 32
+_HANKEL_TAIL_SHARE = 1e-7
+
+
 def reconstruct_isotropic_hankel(ev: RankEvaluator,
                                  cfg: ReconstructionConfig
                                  ) -> ReconstructionReport:
     """Reconstruction through the isotropic Fourier/Hankel chain:
-    transform the divergence profile, multiply by |xi|, transform back."""
+    transform the divergence profile, multiply by |xi|, transform back.
+
+    V(t) = |xi| F(div R) at |xi| = t is evaluated once on a fixed
+    Gauss-Legendre rule over [0, T]; every radius then comes from the same
+    nodes.  Raises DecayError when the last segment of the rule holds a
+    non-negligible share of the integrand, i.e. V decays too slowly.
+    """
     _require_isotropic_d2(ev)
     gd = sf.gamma_d(2)
     h = ev.profile.h
@@ -433,30 +453,28 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
 
     # admissibility of the divergence profile, checked once at a moderate
     # frequency where the quadrature window sees the true tail of s*h(s);
-    # the nested inner transforms then run unchecked (for very large inner
-    # frequencies the window sees only the growing head of s*h and the cell
-    # detector would misfire on a numerically negligible contribution)
+    # the inner transforms on the outer nodes then run unchecked (for very
+    # large inner frequencies the window sees only the growing head of s*h
+    # and the cell detector would misfire on a numerically negligible
+    # contribution)
     bessel_j0_integral(lambda s: s * h(s), np.pi, check_decay=True)
 
-    def V_of_t(t):
-        # |xi| F(div R) at |xi| = t, for array t of any shape
-        shape = t.shape
-        flat = np.maximum(t.reshape(-1), 1e-300)
-        w = bessel_j0_integral(lambda s: s * h(s), 2.0 * np.pi * flat,
-                               check_decay=False)
-        return (flat * 2.0 * np.pi * np.atleast_1d(w)).reshape(shape)
+    t, w = gl_segments(np.linspace(0.0, _HANKEL_T, _HANKEL_SEGMENTS + 1),
+                       _HANKEL_GL)
+    V = t * 2.0 * np.pi * bessel_j0_integral(lambda s: s * h(s),
+                                             2.0 * np.pi * t,
+                                             check_decay=False)
+    wtv = w * t * V
+    tail = np.abs(wtv[-_HANKEL_GL:]).sum()
+    if tail > _HANKEL_TAIL_SHARE * np.abs(wtv).sum():
+        raise DecayError(
+            f"|xi| F(div R) does not decay on [0, {_HANKEL_T:g}]: the last "
+            "segment of the outer rule holds a non-negligible share")
 
     # f = gamma_2 * (-Delta)^{1/2} h; the half-Laplacian contributes a 2 pi
     # via 2 pi F^{-1}(|xi| F h), the radial inverse transform another 2 pi
     const = gd * (2.0 * np.pi) ** 2
-    f_hat = np.empty(len(radii))
-    for i, rx in enumerate(radii):
-        if rx < 1e-12:
-            f_hat[i] = const * decaying_integral(
-                lambda t: t * V_of_t(np.asarray(t)), 8.0)
-        else:
-            f_hat[i] = const * bessel_j0_integral(
-                lambda t: t * V_of_t(t), 2.0 * np.pi * rx)
+    f_hat = const * (j0(2.0 * np.pi * np.outer(radii, t)) @ wtv)
     f_ref = ev.profile.f(radii)
     diag = {
         "sup_rel_error": float(np.max(np.abs(f_hat - f_ref))

@@ -1,43 +1,23 @@
-"""Self-contained special functions and the normalizing constants used by the
+"""Special functions and the normalizing constants used by the
 rank-reconstruction operator.
 
-Everything is computed at call time from its defining formula (no hard-coded
-derived constants), so the identity tests in the suite actually exercise the
-arithmetic.  All functions accept scalars or numpy arrays and are pure.
-
-Implementation notes
---------------------
-* Gamma: Lanczos approximation with g = 7 and 9 coefficients (the classic
-  double-precision set), accurate to ~1e-14 relative on the positive axis.
-* erf/erfc: Maclaurin series for |x| <= 2, Lentz continued fraction for the
-  complementary function beyond.  Relative accuracy ~1e-13 or better wherever
-  the result is representable in double precision.
-* I0, I1: ascending series up to x = 12, asymptotic expansion beyond, with
-  exponentially scaled variants to avoid overflow for large arguments.
+Gamma, erf/erfc and the modified Bessel functions I0, I1 (plain and
+exponentially scaled) are thin wrappers over ``scipy.special``; the wrappers
+add the domain checks of this package (``DomainError``) and return a Python
+float for a scalar argument.  The operator constants are computed at call
+time from their defining formulas (no hard-coded derived constants), so the
+identity tests in the suite exercise the arithmetic.  All functions accept
+scalars or numpy arrays and are pure.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sps
 
 from .errors import DomainError
 
-_SQRT_PI = np.sqrt(np.pi)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-# Lanczos g=7, n=9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
 
 
 @dataclass(frozen=True)
@@ -70,22 +50,17 @@ def _as_dim(d) -> int:
     return n
 
 
+def _like(x, out):
+    """`out` as an array for array-like `x`, as a Python float for a scalar."""
+    return out if np.ndim(x) else float(out)
+
+
 def gamma_fn(x):
-    """Euler Gamma on the positive half line (Lanczos approximation)."""
+    """Euler Gamma on the positive half line."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise DomainError("gamma_fn requires x > 0")
-    # Lanczos is formulated for x >= 0.5; pull smaller arguments up with the
-    # recurrence Gamma(x) = Gamma(x+1)/x.
-    small = x_arr < 0.5
-    z = np.where(small, x_arr + 1.0, x_arr) - 1.0
-    acc = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    out = _SQRT_2PI * t ** (z + 0.5) * np.exp(-t) * acc
-    out = np.where(small, out / x_arr, out)
-    return out if np.ndim(x) else float(out)
+    return _like(x, _sps.gamma(x_arr))
 
 
 def gamma_d(d):
@@ -126,152 +101,57 @@ def lambda_dl(d, l: int):
 # erf / normal cdf
 # ---------------------------------------------------------------------------
 
-_ERF_SERIES_CUT = 2.0
-_ERF_SERIES_TERMS = 48
-_ERF_CF_ITERS = 90
-
-
-def _erf_series(x):
-    # erf(x) = 2/sqrt(pi) * sum (-1)^k x^{2k+1} / (k! (2k+1)),  |x| <= 2
-    t = x.copy()
-    s = x.copy()
-    xx = x * x
-    for k in range(1, _ERF_SERIES_TERMS):
-        t = t * (-xx) / k
-        s = s + t / (2 * k + 1)
-    return (2.0 / _SQRT_PI) * s
-
-
-def _erfc_cf(x):
-    # Lentz evaluation of erfc(x) = e^{-x^2}/sqrt(pi) / (x + (1/2)/(x + (2/2)/(x + ...)))
-    tiny = 1e-300
-    f = x.copy()
-    c = x.copy()
-    d_ = np.zeros_like(x)
-    for n in range(1, _ERF_CF_ITERS + 1):
-        a = 0.5 * n
-        d_ = x + a * d_
-        d_ = np.where(np.abs(d_) < tiny, tiny, d_)
-        c = x + a / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d_ = 1.0 / d_
-        f = f * c * d_
-    with np.errstate(under="ignore"):
-        return np.exp(-x * x) / _SQRT_PI / f
-
-
 def erf(x):
-    """Error function; odd, accurate to ~1e-13 relative across the real line."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    a = np.abs(x_arr)
-    out = np.empty_like(a)
-    lo = a <= _ERF_SERIES_CUT
-    if np.any(lo):
-        out[lo] = _erf_series(a[lo])
-    if np.any(~lo):
-        out[~lo] = 1.0 - _erfc_cf(a[~lo])
-    out = np.where(x_arr < 0, -out, out)
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+    """Error function."""
+    return _like(x, _sps.erf(np.asarray(x, dtype=float)))
 
 
 def erfc(x):
     """Complementary error function, accurate in the far right tail."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x_arr)
-    hi = x_arr > _ERF_SERIES_CUT
-    lo = x_arr < -_ERF_SERIES_CUT
-    mid = ~(hi | lo)
-    if np.any(hi):
-        out[hi] = _erfc_cf(x_arr[hi])
-    if np.any(lo):
-        out[lo] = 2.0 - _erfc_cf(-x_arr[lo])
-    if np.any(mid):
-        out[mid] = 1.0 - _erf_series(x_arr[mid])
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+    return _like(x, _sps.erfc(np.asarray(x, dtype=float)))
 
 
 def std_normal_cdf(x):
     """Standard normal cdf, Phi(x) = erfc(-x/sqrt(2)) / 2."""
     x_arr = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x_arr / np.sqrt(2.0))
-    return out if np.ndim(x) else float(out)
+    return _like(x, 0.5 * erfc(-x_arr / np.sqrt(2.0)))
 
 
 def std_normal_pdf(x):
     """Standard normal density."""
     x_arr = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x_arr * x_arr) / _SQRT_2PI
-    return out if np.ndim(x) else float(out)
+    return _like(x, np.exp(-0.5 * x_arr * x_arr) / _SQRT_2PI)
 
 
 # ---------------------------------------------------------------------------
 # Modified Bessel functions I0, I1
 # ---------------------------------------------------------------------------
 
-_I_SERIES_CUT = 12.0
-_I_SERIES_TERMS = 60
-_I_ASYMP_TERMS = 24
-
-
-def _i_series(x, nu: int):
-    # ascending series: I_nu(x) = (x/2)^nu sum_k (x^2/4)^k / (k! (k+nu)!)
-    q = 0.25 * x * x
-    term = np.ones_like(x)          # k = 0 term, 1/(0! nu!) = 1 for nu in {0,1}
-    s = term.copy()
-    for k in range(1, _I_SERIES_TERMS):
-        term = term * q / (k * (k + nu))
-        s = s + term
-    if nu == 0:
-        return s
-    return 0.5 * x * s
-
-
-def _i_asymp_scaled(x, nu: int):
-    # e^{-x} I_nu(x) ~ (1/sqrt(2 pi x)) * sum_k t_k,  t_0 = 1,
-    # t_k = -t_{k-1} (mu - (2k-1)^2) / (8 k x),  mu = 4 nu^2
-    mu = 4.0 * nu * nu
-    t = np.ones_like(x)
-    s = t.copy()
-    for k in range(1, _I_ASYMP_TERMS):
-        t = -t * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        s = s + t
-    return s / np.sqrt(2.0 * np.pi * x)
-
-
-def _bessel_i(x, nu: int, scaled: bool):
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+def _bessel_i(fn, x):
+    x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
         raise DomainError("modified Bessel functions here require x >= 0")
-    out = np.empty_like(x_arr)
-    lo = x_arr <= _I_SERIES_CUT
-    if np.any(lo):
-        v = _i_series(x_arr[lo], nu)
-        out[lo] = v * np.exp(-x_arr[lo]) if scaled else v
-    if np.any(~lo):
-        v = _i_asymp_scaled(x_arr[~lo], nu)
-        with np.errstate(over="ignore"):
-            out[~lo] = v if scaled else v * np.exp(x_arr[~lo])
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+    return _like(x, fn(x_arr))
 
 
 def bessel_i0(x):
-    """Modified Bessel function I0; overflows to inf near x ~ 709."""
-    return _bessel_i(x, 0, scaled=False)
+    """Modified Bessel function I0; overflows to inf near x ~ 713."""
+    return _bessel_i(_sps.i0, x)
 
 
 def bessel_i0e(x):
     """Exponentially scaled I0: e^{-x} I0(x), safe for any x >= 0."""
-    return _bessel_i(x, 0, scaled=True)
+    return _bessel_i(_sps.i0e, x)
 
 
 def bessel_i1(x):
     """Modified Bessel function I1."""
-    return _bessel_i(x, 1, scaled=False)
+    return _bessel_i(_sps.i1, x)
 
 
 def bessel_i1e(x):
     """Exponentially scaled I1: e^{-x} I1(x)."""
-    return _bessel_i(x, 1, scaled=True)
+    return _bessel_i(_sps.i1e, x)
 
 
 def bessel_i0_series(x, terms: int = 20):
@@ -283,4 +163,4 @@ def bessel_i0_series(x, terms: int = 20):
     for k in range(1, terms):
         term = term * q / (k * k)
         s = s + term
-    return s if np.ndim(x) else float(s)
+    return _like(x, s)

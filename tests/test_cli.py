@@ -2,6 +2,7 @@
 reproducibility."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,3 +254,68 @@ def test_reconstruct_hankel_requires_radial(tmp_path):
     atoms.write_text("0,0\n1,0\n")
     code = run(["reconstruct", "--csv", str(atoms), "--method", "hankel"])
     assert code == 2
+
+
+def test_rank_nan_atom_is_parse_error(tmp_path, capsys):
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("x1,x2\n0.5,-0.25\n0.125,nan\n-1,2\n1.5,0.75\n")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0\n")
+    code = run(["rank", "--csv", str(atoms), "--points", str(pts)])
+    assert code == 2
+    assert "row 3, column 2" in capsys.readouterr().err
+
+
+def test_rank_non_finite_point_is_parse_error(tmp_path, capsys):
+    # the reported row is the file line: header and blank lines count
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n0,0\n\n1,inf\n")
+    code = run(["rank", "--family", "gaussian", "--dim", "2",
+                "--points", str(pts)])
+    assert code == 2
+    assert "row 4, column 2" in capsys.readouterr().err
+
+
+def test_rank_grid_over_cap_exits_3_without_allocating(tmp_path, capsys):
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("0,0\n1,1\n")
+    tracemalloc.start()
+    try:
+        code = run(["rank", "--csv", str(atoms), "--grid=-1:1:100000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "cap" in capsys.readouterr().err
+    assert peak < 1_000_000
+
+
+def test_rank_grid_at_atom_column(tmp_path, monkeypatch):
+    # blocks of two points, so the atoms fall in different blocks
+    monkeypatch.setattr(cli, "_EVAL_BLOCK", 4)
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("0,0\n1,1\n")
+    out = tmp_path / "grid.csv"
+    assert run(["rank", "--csv", str(atoms), "--grid=-1:1:3",
+                "-o", str(out)]) == 0
+    names, data = cli.load_table(out)
+    assert names[-1] == "at_atom"
+    flagged = data[data[:, -1] == 1, :2]
+    assert flagged.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+
+
+def test_threads_default_is_serial(monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        run(["rank", "--help"])
+    assert "(default: serial)" in " ".join(capsys.readouterr().out.split())
+    seen = []
+    real = cli.reconstruct_odd_local
+
+    def spy(ev, cfg):
+        seen.append(cfg.workers)
+        return real(ev, cfg)
+
+    monkeypatch.setattr(cli, "reconstruct_odd_local", spy)
+    assert run(["reconstruct", "--family", "gaussian", "--dim", "3",
+                "--method", "odd-local", "--radii", "1:1:1"]) == 0
+    assert seen == [None]

@@ -238,6 +238,14 @@ def test_csv_bad_number_reports_location(tmp_path):
         gr.empirical_from_csv(p)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_non_finite_reports_location(tmp_path, bad):
+    p = tmp_path / "atoms.csv"
+    p.write_text(f"x1,x2\n0.5,-0.25\n0.125,{bad}\n-1,2\n")
+    with pytest.raises(ParseError, match="row 3, column 2"):
+        gr.empirical_from_csv(p)
+
+
 def test_csv_weight_column(tmp_path):
     p = tmp_path / "atoms.csv"
     p.write_text("0,0,0.75\n1,1,0.25\n")
