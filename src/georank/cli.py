@@ -24,7 +24,7 @@ from .errors import (BudgetError, ConfigError, GeorankError,
                      NonConvergenceError, ParityError, ParseError)
 from .measures import RadialClosedForm, empirical_from_csv
 from .quantile import QuantileQuery, solve_quantile
-from .rankfield import _EVAL_BLOCK, _GRID_NODE_CAP, RankEvaluator
+from .rankfield import _GRID_NODE_CAP, RankEvaluator, _pair_blocks
 from .reconstruct import (ReconstructionConfig, reconstruct_even_singular,
                           reconstruct_extension, reconstruct_isotropic_hankel,
                           reconstruct_odd_local)
@@ -236,10 +236,13 @@ def cmd_rank(args):
     if args.points:
         pts = _read_points(args.points, ev.d)
     elif args.grid:
-        lo_hi_n = args.grid.split(":")
-        if len(lo_hi_n) != 3:
-            raise ConfigError("grid spec must be lo:hi:n")
-        lo, hi, n = float(lo_hi_n[0]), float(lo_hi_n[1]), int(lo_hi_n[2])
+        try:
+            lo, hi, n = args.grid.split(":")
+            lo, hi, n = float(lo), float(hi), int(n)
+            if not (np.isfinite([lo, hi]).all() and n >= 1):
+                raise ValueError("want finite lo and hi, and n >= 1")
+        except ValueError as exc:
+            raise ConfigError(f"bad grid spec {args.grid!r}: {exc}") from exc
         if n ** ev.d > _GRID_NODE_CAP:
             raise BudgetError(f"{n}^{ev.d} grid nodes exceed the cap of "
                               f"{_GRID_NODE_CAP}")
@@ -251,13 +254,9 @@ def cmd_rank(args):
     ranks = ev.rank_many(pts)
     at_atom = None
     if ev.mode == "exact":
-        atoms = measure.atoms
-        step = max(1, _EVAL_BLOCK // atoms.shape[0])
-        at_atom = np.empty(pts.shape[0], dtype=int)
-        for i in range(0, pts.shape[0], step):
-            blk = pts[i:i + step, None, :] - atoms[None, :, :]
-            dist = np.linalg.norm(blk, axis=2).min(axis=1)
-            at_atom[i:i + step] = dist < 1e-12
+        at_atom = np.zeros(pts.shape[0], dtype=int)
+        for rows, _, _, dist in _pair_blocks(pts, measure.atoms):
+            at_atom[rows] |= dist.min(axis=1) < 1e-12
     if args.format == "json":
         payload = {"points": pts.tolist(), "rank": ranks.tolist()}
         if at_atom is not None:

@@ -58,6 +58,8 @@ class Empirical:
 
     def __post_init__(self):
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        if not np.all(np.isfinite(atoms)):
+            raise DomainError("atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
         n = atoms.shape[0]
         if self.weights is None:
@@ -67,8 +69,8 @@ class Empirical:
             if w.shape != (n,):
                 raise DimensionMismatchError(
                     f"{n} atoms but {w.shape} weights")
-            if np.any(w <= 0):
-                raise DomainError("weights must be positive")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise DomainError("weights must be finite and positive")
             s = w.sum()
             if abs(s - 1.0) > 1e-9:
                 raise DomainError(

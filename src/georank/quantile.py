@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DegenerateSupportError, NonConvergenceError
-from .rankfield import RankEvaluator
+from .rankfield import RankEvaluator, _pair_blocks
 
 _MAX_ITERS = 200
 _ARMIJO = 1e-4
@@ -40,8 +40,9 @@ def objective(ev: RankEvaluator, q: QuantileQuery, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     atoms, weights = ev.atoms()
-    g = float(np.dot(np.linalg.norm(x[None, :] - atoms, axis=1)
-                     - np.linalg.norm(atoms, axis=1), weights))
+    g = sum(float((dist[0] - np.linalg.norm(atoms[cols], axis=1))
+                  @ weights[cols])
+            for _, cols, _, dist in _pair_blocks(x[None, :], atoms))
     return g - q.alpha * float(np.dot(q.u, x))
 
 
@@ -54,11 +55,13 @@ def _atoms_collinear(atoms: np.ndarray) -> bool:
 
 
 def _weiszfeld_step(atoms, weights, alpha_u, x):
-    nrm = np.linalg.norm(x[None, :] - atoms, axis=1)
-    keep = nrm > 1e-14
-    w = weights[keep] / nrm[keep]
-    num = (w[:, None] * atoms[keep]).sum(axis=0) + alpha_u
-    return num / w.sum()
+    num, den = alpha_u.copy(), 0.0
+    for _, cols, _, dist in _pair_blocks(x[None, :], atoms):
+        w = np.divide(weights[cols], dist[0], out=np.zeros(dist.shape[1]),
+                      where=dist[0] > 1e-14)
+        num += w @ atoms[cols]
+        den += w.sum()
+    return num / den
 
 
 def _solve_radial(ev, q, tol):

@@ -21,7 +21,7 @@ from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
 
 _ATOM_TOL = 1e-12
 _GRID_NODE_CAP = 10_000_000
-_EVAL_BLOCK = 200_000
+_EVAL_BLOCK = 32_768      # pairs per kernel block: d + 1 arrays fit in L2
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,52 @@ def _eval_terms(terms, y: np.ndarray) -> np.ndarray:
                 v = v * y[..., k] ** pk
         out += v / r ** m
     return out
+
+
+# ---------------------------------------------------------------------------
+# Point x atom kernel sums
+# ---------------------------------------------------------------------------
+
+def _pair_blocks(pts: np.ndarray, atoms: np.ndarray):
+    """The one point x atom loop behind every kernel sum.
+
+    Yields (rows, cols, diff, dist) per block of at most _EVAL_BLOCK pairs:
+    slices of pts (m, d) and atoms (n, d), split too past _EVAL_BLOCK atoms;
+    the differences x_k - z_k as d contiguous (rows, cols) arrays; |x - z|.
+    Both arrays are buffers that callers may overwrite and the next block
+    reuses: fresh ones cost page faults, half the time of a block.
+    """
+    (m, d), n = pts.shape, atoms.shape[0]
+    n_blk = max(1, min(n, _EVAL_BLOCK))
+    m_blk = _EVAL_BLOCK // n_blk
+    buf = np.empty((d + 1) * min(m, m_blk) * n_blk)
+    coords = atoms.T.copy()
+    for lo in range(0, m, m_blk):
+        x = pts[lo:lo + m_blk].T[:, :, None]
+        for a_lo in range(0, n, n_blk):
+            z = coords[:, None, a_lo:a_lo + n_blk]
+            shape = (x.shape[1], z.shape[2])
+            size = shape[0] * shape[1]
+            diff = np.subtract(x, z, out=buf[:d * size].reshape((d,) + shape))
+            dist = buf[d * size:(d + 1) * size].reshape(shape)
+            np.sqrt(np.einsum("kmn,kmn->mn", diff, diff, out=dist), out=dist)
+            yield slice(lo, lo + m_blk), slice(a_lo, a_lo + n_blk), diff, dist
+
+
+def _rank_sum(pts, atoms, weights):
+    """sum_i w_i (x - z_i)/|x - z_i| at every row x of pts; the kernel
+    vanishes on the diagonal x = z_i."""
+    out = np.zeros_like(pts)
+    for rows, cols, diff, dist in _pair_blocks(pts, atoms):
+        diff *= np.divide(1.0, dist, out=dist, where=dist > 0.0)
+        out[rows] += (diff @ weights[cols]).T
+    return out
+
+
+def _check_not_atom(dist):
+    if dist.min() < _ATOM_TOL:
+        raise SingularityError(
+            f"point within {_ATOM_TOL} of an atom; derivative undefined")
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +248,9 @@ class RankEvaluator:
         if self.mode == "radial":
             r = np.linalg.norm(pts, axis=1)
             return self._profile.g_over_r(r)[:, None] * pts
-        atoms, weights = self.atoms()
-        out = np.empty_like(pts)
-        step = max(1, _EVAL_BLOCK // max(1, atoms.shape[0]))
-        for lo in range(0, pts.shape[0], step):
-            blk = pts[lo:lo + step]
-            diff = blk[:, None, :] - atoms[None, :, :]
-            nrm = np.linalg.norm(diff, axis=2)
-            safe = np.where(nrm == 0.0, 1.0, nrm)
-            unit = diff / safe[:, :, None]
-            unit[nrm == 0.0] = 0.0           # kernel vanishes on the diagonal
-            out[lo:lo + blk.shape[0]] = np.einsum("mnk,n->mk", unit, weights)
-        return out
+        return _rank_sum(pts, *self.atoms())
 
     # -- derivatives ----------------------------------------------------------
-
-    def _check_not_atom(self, x):
-        atoms, _ = self.atoms()
-        dist = np.linalg.norm(atoms - x[None, :], axis=1)
-        if np.min(dist) < _ATOM_TOL:
-            raise SingularityError(
-                f"point within {_ATOM_TOL} of an atom; derivative undefined")
 
     def rank_derivative(self, x, alpha) -> np.ndarray:
         """d^alpha R at x, as the expectation of the exact kernel derivative.
@@ -243,13 +271,13 @@ class RankEvaluator:
                              "needed and not supported")
         if self.mode == "radial":
             return self._radial_derivative(x, alpha)
-        self._check_not_atom(x)
         atoms, weights = self.atoms()
-        y = x[None, :] - atoms
-        out = np.empty(self.d)
-        for i in range(self.d):
-            terms = kernel_derivative_terms(self.d, alpha, i)
-            out[i] = float(np.dot(_eval_terms(terms, y), weights))
+        out = np.zeros(self.d)
+        for _, cols, diff, dist in _pair_blocks(x[None, :], atoms):
+            _check_not_atom(dist)
+            out += [_eval_terms(kernel_derivative_terms(self.d, alpha, i),
+                                diff[:, 0].T) @ weights[cols]
+                    for i in range(self.d)]
         return out
 
     def _psi_derivatives(self, r: float):
@@ -297,28 +325,18 @@ class RankEvaluator:
     # -- divergence / jacobian -------------------------------------------------
 
     def divergence(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.mode == "radial":
-            return float(self._profile.h(np.linalg.norm(x)))
-        self._check_not_atom(x)
-        atoms, weights = self.atoms()
-        nrm = np.linalg.norm(x[None, :] - atoms, axis=1)
-        return float(np.dot((self.d - 1) / nrm, weights))
+        return float(self.divergence_many(np.asarray(x, dtype=float)[None])[0])
 
     def divergence_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if self.mode == "radial":
             return self._profile.h(np.linalg.norm(pts, axis=1))
         atoms, weights = self.atoms()
-        out = np.empty(pts.shape[0])
-        step = max(1, _EVAL_BLOCK // max(1, atoms.shape[0]))
-        for lo in range(0, pts.shape[0], step):
-            blk = pts[lo:lo + step]
-            nrm = np.linalg.norm(blk[:, None, :] - atoms[None, :, :], axis=2)
-            if np.any(nrm < _ATOM_TOL):
-                raise SingularityError("grid point coincides with an atom")
-            out[lo:lo + blk.shape[0]] = ((self.d - 1) / nrm) @ weights
-        return out
+        out = np.zeros(pts.shape[0])
+        for rows, cols, _, dist in _pair_blocks(pts, atoms):
+            _check_not_atom(dist)
+            out[rows] += np.divide(1.0, dist, out=dist) @ weights[cols]
+        return (self.d - 1) * out
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian of the rank field; symmetric positive semidefinite."""
@@ -333,13 +351,15 @@ class RankEvaluator:
             goverr = p.g_over_r(r)
             return (goverr * np.eye(d)
                     + (p.g_prime(r) - goverr) * np.outer(xhat, xhat))
-        self._check_not_atom(x)
         atoms, weights = self.atoms()
-        y = x[None, :] - atoms
-        nrm = np.linalg.norm(y, axis=1)
-        u = y / nrm[:, None]
-        wn = weights / nrm
-        return np.einsum("n,ni,nj->ij", -wn, u, u) + np.sum(wn) * np.eye(d)
+        # sum of w/|y| (I - y y^T/|y|^2) over the atoms, y = x - z
+        out = np.zeros((d, d))
+        for _, cols, diff, dist in _pair_blocks(x[None, :], atoms):
+            _check_not_atom(dist)
+            y, r = diff[:, 0], dist[0]
+            wn = weights[cols] / r
+            out += wn.sum() * np.eye(d) - (y * (wn / (r * r))) @ y.T
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,48 +443,31 @@ def fd_derivative(field: VectorGridField, alpha, order: int = 2) -> VectorGridFi
     return VectorGridField(origin, h, shape, values)
 
 
-def _crop(values, d, radius):
-    sl = tuple(slice(radius, values.shape[i] - radius) for i in range(d))
-    return values[sl]
+def _axis_sum(field, values, deriv, order):
+    """Sum over the grid axes k of the deriv-th centered difference of
+    values(k) along k, each term cropped to the uniform interior shape."""
+    d = field.grid_dim
+    radius = 1 if order == 2 else 2
+    offsets, coeffs = _STENCILS[(deriv, order)]
+    out = None
+    for axis in range(d):
+        comp, _ = _apply_axis_stencil(values(axis), axis, offsets, coeffs,
+                                      1.0 / field.spacing ** deriv)
+        comp = comp[tuple(slice(None) if k == axis else
+                          slice(radius, comp.shape[k] - radius)
+                          for k in range(d))]
+        out = comp if out is None else out + comp
+    origin = field.origin + radius * field.spacing
+    return VectorGridField(origin, field.spacing, out.shape[:d], out)
 
 
 def fd_divergence(field: VectorGridField, order: int = 2) -> VectorGridField:
     """Divergence of a vector grid field; uniform crop on every axis."""
-    d = field.grid_dim
-    if field.n_components != d:
+    if field.n_components != field.grid_dim:
         raise ValueError("divergence needs a d-component field on a d-grid")
-    radius = 1 if order == 2 else 2
-    offsets, coeffs = _STENCILS[(1, order)]
-    out = None
-    for axis in range(d):
-        comp, _ = _apply_axis_stencil(field.values[..., axis], axis, offsets,
-                                      coeffs, 1.0 / field.spacing)
-        # crop the untouched axes so every term has the uniform interior shape
-        for other in range(d):
-            if other != axis:
-                sl = [slice(None)] * comp.ndim
-                sl[other] = slice(radius, comp.shape[other] - radius)
-                comp = comp[tuple(sl)]
-        out = comp if out is None else out + comp
-    origin = field.origin + radius * field.spacing
-    return VectorGridField(origin, field.spacing, out.shape, out)
+    return _axis_sum(field, lambda k: field.values[..., k], 1, order)
 
 
 def fd_laplacian(field: VectorGridField, order: int = 2) -> VectorGridField:
     """Laplacian (sum of pure second differences); uniform crop per axis."""
-    d = field.grid_dim
-    radius = 1 if order == 2 else 2
-    offsets, coeffs = _STENCILS[(2, order)]
-    out = None
-    for axis in range(d):
-        comp, _ = _apply_axis_stencil(field.values, axis, offsets, coeffs,
-                                      1.0 / field.spacing ** 2)
-        for other in range(d):
-            if other != axis:
-                sl = [slice(None)] * comp.ndim
-                sl[other] = slice(radius, comp.shape[other] - radius)
-                comp = comp[tuple(sl)]
-        out = comp if out is None else out + comp
-    origin = field.origin + radius * field.spacing
-    shape = out.shape[:d]
-    return VectorGridField(origin, field.spacing, shape, out)
+    return _axis_sum(field, lambda k: field.values, 2, order)

@@ -31,8 +31,8 @@ from .errors import (BudgetError, DecayError, ParityError, ParseError,
                      ToleranceError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
                        density as measure_density, radial_profile)
-from .rankfield import (RankEvaluator, VectorGridField, fd_divergence,
-                        fd_laplacian, sample_grid)
+from .rankfield import (RankEvaluator, VectorGridField, _pair_blocks,
+                        _rank_sum, fd_divergence, fd_laplacian, sample_grid)
 
 _METHODS = ("odd-local", "singular", "hankel", "extension")
 
@@ -505,9 +505,12 @@ def poisson_smooth(measure: Measure, pts: np.ndarray, t: float) -> np.ndarray:
     d = pts.shape[1]
     C = _poisson_constant(d)
     if isinstance(measure, Empirical):
-        diff2 = ((pts[:, None, :] - measure.atoms[None, :, :]) ** 2).sum(axis=2)
-        kern = t / (diff2 + t * t) ** ((d + 1) / 2.0)
-        return C * kern @ measure.weights
+        out = np.zeros(pts.shape[0])
+        for rows, cols, _, dist in _pair_blocks(pts, measure.atoms):
+            s = np.add(np.square(dist, out=dist), t * t, out=dist)
+            out[rows] += (np.power(s, -(d + 1) / 2.0, out=s)
+                          @ measure.weights[cols])
+        return C * t * out
 
     if isinstance(measure, RadialClosedForm):
         prof = radial_profile(measure)
@@ -658,40 +661,29 @@ def _pairing_d3_atoms(atoms, weights, psi, n_radial=48, n_polar=32,
                       n_azimuth=64):
     gd = sf.gamma_d(3)
     omega, w_ang = sphere_rule(3, n_polar, n_azimuth)
+    near = np.linalg.norm(atoms - psi.center, axis=1) <= psi.radius + 1e-9
     total = 0.0
-    for atom, w in zip(atoms, weights):
-        sep = float(np.linalg.norm(atom - psi.center))
-        if sep <= psi.radius + 1e-9:
-            # kernel discontinuity sits inside supp psi: spherical
-            # coordinates around the atom make the integrand smooth per ray
-            r_out = sep + psi.radius + 1e-9
-            rn, rw = gl_nodes(0.0, r_out, n_radial)
-            pts = atom[None, None, :] + rn[:, None, None] * omega[None, :, :]
-            v = psi.grad_laplacian(pts.reshape(-1, 3)).reshape(len(rn), -1, 3)
-            proj = np.einsum("rak,ak->ra", v, omega)
-            total += w * gd * float(np.sum(rw * (rn ** 2) * (proj @ w_ang)))
-        else:
-            # atom outside the support: everything is smooth over the bump's
-            # own ball, so integrate there (locality: the result is ~0)
-            rn, rw = gl_nodes(0.0, psi.radius, n_radial)
-            pts = (psi.center[None, None, :]
-                   + rn[:, None, None] * omega[None, :, :])
-            flat = pts.reshape(-1, 3)
-            y = flat - atom[None, :]
-            k = y / np.linalg.norm(y, axis=1, keepdims=True)
-            v = psi.grad_laplacian(flat)
-            dots = (k * v).sum(axis=1).reshape(len(rn), -1)
-            total += w * gd * float(np.sum(rw * (rn ** 2) * (dots @ w_ang)))
-    return total
+    for atom, w in zip(atoms[near], weights[near]):
+        # kernel discontinuity sits inside supp psi: spherical
+        # coordinates around the atom make the integrand smooth per ray
+        r_out = float(np.linalg.norm(atom - psi.center)) + psi.radius + 1e-9
+        rn, rw = gl_nodes(0.0, r_out, n_radial)
+        pts = atom[None, None, :] + rn[:, None, None] * omega[None, :, :]
+        v = psi.grad_laplacian(pts.reshape(-1, 3)).reshape(len(rn), -1, 3)
+        proj = np.einsum("rak,ak->ra", v, omega)
+        total += w * gd * float(np.sum(rw * (rn ** 2) * (proj @ w_ang)))
+    # atoms outside supp psi: their summed field is smooth on its ball (~0)
+    far = lambda pts: _rank_sum(pts, atoms[~near], weights[~near])
+    return total + _pairing_d3_field(far, psi, n_radial, n_polar, n_azimuth)
 
 
-def _pairing_d3_field(ev, psi, n_radial=48, n_polar=32, n_azimuth=64):
+def _pairing_d3_field(rank_many, psi, n_radial=48, n_polar=32, n_azimuth=64):
     gd = sf.gamma_d(3)
     omega, w_ang = sphere_rule(3, n_polar, n_azimuth)
     rn, rw = gl_nodes(0.0, psi.radius, n_radial)
     pts = psi.center[None, None, :] + rn[:, None, None] * omega[None, :, :]
     flat = pts.reshape(-1, 3)
-    rp = ev.rank_many(flat)
+    rp = rank_many(flat)
     v = psi.grad_laplacian(flat)
     dots = (rp * v).sum(axis=1).reshape(len(rn), -1)
     return gd * float(np.sum(rw * (rn ** 2) * (dots @ w_ang)))
@@ -756,5 +748,5 @@ def verify_identity_on_test_function(psi: PolynomialBump, ev: RankEvaluator,
                    for p in flat]).reshape(len(rn), -1)
     vals = psi.value(flat).reshape(len(rn), -1)
     lhs = float(np.sum(rw * rn ** 2 * ((fx * vals) @ w_ang)))
-    rhs = _pairing_d3_field(ev, psi)
+    rhs = _pairing_d3_field(ev.rank_many, psi)
     return abs(lhs - rhs)

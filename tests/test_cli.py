@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import georank as gr
-from georank import cli
+from georank import cli, rankfield
 from georank import selftest as selftest_mod
 from georank.cli import main
 
@@ -290,9 +290,18 @@ def test_rank_grid_over_cap_exits_3_without_allocating(tmp_path, capsys):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("spec", ["-1:1:x", "-1:1:-3", "-1:1:0",
+                                  "-1:1:2.5", "a:1:3", "-1:nan:3", "-1:1"])
+def test_rank_bad_grid_spec_is_config_error(spec, capsys):
+    code = run(["rank", "--family", "gaussian", "--dim", "2",
+                f"--grid={spec}"])
+    assert code == 2
+    assert "bad grid spec" in capsys.readouterr().err
+
+
 def test_rank_grid_at_atom_column(tmp_path, monkeypatch):
     # blocks of two points, so the atoms fall in different blocks
-    monkeypatch.setattr(cli, "_EVAL_BLOCK", 4)
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 4)
     atoms = tmp_path / "atoms.csv"
     atoms.write_text("0,0\n1,1\n")
     out = tmp_path / "grid.csv"

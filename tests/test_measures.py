@@ -205,8 +205,16 @@ def test_empirical_weight_validation():
         gr.Empirical(atoms, np.array([0.7, 0.4]))
     with pytest.raises(DomainError):
         gr.Empirical(atoms, np.array([1.2, -0.2]))
+    with pytest.raises(DomainError, match="finite"):
+        gr.Empirical(atoms, np.array([0.5, np.nan]))
     with pytest.raises(DimensionMismatchError):
         gr.Empirical(atoms, np.array([0.5, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_empirical_rejects_non_finite_atoms(bad):
+    with pytest.raises(DomainError, match="finite"):
+        gr.Empirical(np.array([[0.0, 1.0], [bad, 0.5], [2.0, 2.0]]))
 
 
 def test_csv_two_rows(tmp_path):
