@@ -12,11 +12,13 @@ failure, 4 solver non-convergence.
 """
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
+from . import _write
 from . import selftest as selftest_mod
 from .depth import contour as depth_contour
 from .depth import probability_content_surface, radial_content_oracle
@@ -92,7 +94,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args returns a fresh namespace per call
     parser = argparse.ArgumentParser(
         prog="georank",
         description="geometric ranks, quantiles, depth contours, and "
@@ -222,10 +226,6 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _fmt_row(vals):
-    return ",".join("%.17g" % v for v in vals)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -246,33 +246,24 @@ def cmd_rank(args):
         if n ** ev.d > _GRID_NODE_CAP:
             raise BudgetError(f"{n}^{ev.d} grid nodes exceed the cap of "
                               f"{_GRID_NODE_CAP}")
-        axes = [np.linspace(lo, hi, n)] * ev.d
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*[np.linspace(lo, hi, n)] * ev.d, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
     else:
         raise ConfigError("missing required flag --points or --grid")
-    ranks = ev.rank_many(pts)
-    at_atom = None
+    d = ev.d
+    names = [f"x{i+1}" for i in range(d)] + [f"r{i+1}" for i in range(d)]
+    payload = {"points": pts, "rank": ev.rank_many(pts)}
     if ev.mode == "exact":
         at_atom = np.zeros(pts.shape[0], dtype=int)
         for rows, _, _, dist in _pair_blocks(pts, measure.atoms):
             at_atom[rows] |= dist.min(axis=1) < 1e-12
+        names.append("at_atom")
+        payload["at_atom"] = at_atom
     if args.format == "json":
-        payload = {"points": pts.tolist(), "rank": ranks.tolist()}
-        if at_atom is not None:
-            payload["at_atom"] = at_atom.tolist()
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return _EXIT_OK
-    d = ev.d
-    header = ([f"x{i+1}" for i in range(d)] + [f"r{i+1}" for i in range(d)]
-              + (["at_atom"] if at_atom is not None else []))
-    lines = [",".join(header)]
-    for i in range(pts.shape[0]):
-        row = list(pts[i]) + list(ranks[i])
-        if at_atom is not None:
-            row.append(at_atom[i])
-        lines.append(_fmt_row(row))
-    _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _write.json_text(payload))
+    else:                            # columns in payload order
+        _emit(args, _write.csv_text(names,
+                                    np.column_stack(list(payload.values()))))
     return _EXIT_OK
 
 
@@ -294,12 +285,10 @@ def cmd_quantile(args):
     x = solve_quantile(ev, q, args.tol)
     residual = float(np.linalg.norm(ev.rank(x) - q.alpha * q.u))
     if args.format == "json":
-        _emit(args, json.dumps({"quantile": x.tolist(),
-                                "residual": residual}, indent=2,
-                               sort_keys=True) + "\n")
+        _emit(args, _write.json_text({"quantile": x, "residual": residual}))
     else:
-        header = ",".join([f"q{i+1}" for i in range(ev.d)] + ["residual"])
-        _emit(args, header + "\n" + _fmt_row(list(x) + [residual]) + "\n")
+        names = [f"q{i+1}" for i in range(ev.d)] + ["residual"]
+        _emit(args, _write.csv_text(names, [list(x) + [residual]]))
     return _EXIT_OK
 
 
@@ -354,34 +343,12 @@ def cmd_reconstruct(args):
     if args.format == "json":
         payload = rep.to_json_dict()
         if rep.kind == "radial_curve":
-            payload["r"] = rep.radii.tolist()
-            payload["f_hat"] = rep.f_hat.tolist()
+            payload.update(r=rep.radii, f_hat=rep.f_hat)
             if rep.f_reference is not None:
-                payload["f_reference"] = rep.f_reference.tolist()
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return _EXIT_OK
-    if rep.kind == "radial_curve":
-        cols = [rep.radii, rep.f_hat]
-        names = ["r", "f_hat"]
-        if rep.f_reference is not None:
-            cols += [rep.f_reference, rep.abs_error]
-            names += ["f_reference", "abs_error"]
-        lines = [",".join(names)]
-        for row in zip(*cols):
-            lines.append(_fmt_row(row))
-        _emit(args, "\n".join(lines) + "\n")
+                payload["f_reference"] = rep.f_reference
+        _emit(args, _write.json_text(payload))
     else:
-        if rep.kind == "grid":
-            pts = rep.grid.nodes()
-            vals = rep.grid.values.reshape(pts.shape[0], -1)
-        else:                        # evaluation at explicit points
-            pts = rep.points
-            vals = rep.f_hat.reshape(pts.shape[0], -1)
-        lines = [",".join([f"x{i+1}" for i in range(pts.shape[1])]
-                          + ["f_hat"])]
-        for p, v in zip(pts, vals):
-            lines.append(_fmt_row(list(p) + list(v)))
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, rep.csv_text())
     return _EXIT_OK
 
 
@@ -392,23 +359,14 @@ def cmd_contour(args):
     if not 0.0 <= args.beta < 1.0:
         raise ConfigError("beta must lie in [0, 1)")
     c = depth_contour(ev, args.beta, n_rays=args.rays, tol=args.tol)
-    if c.kind == "radial":
+    if c.kind == "rayfan" and args.format != "json":
+        _emit(args, c.csv_text())
+    else:
         payload = c.summary()
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return _EXIT_OK
-    if args.format == "json":
-        payload = c.summary()
-        payload["directions"] = c.directions.tolist()
-        payload["radii"] = c.radii.tolist()
-        payload["rank_norm"] = c.achieved.tolist()
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return _EXIT_OK
-    d = c.directions.shape[1]
-    names = [f"u{i+1}" for i in range(d)] + ["radius", "rank_norm"]
-    lines = [",".join(names)]
-    for u, r, a in zip(c.directions, c.radii, c.achieved):
-        lines.append(_fmt_row(list(u) + [r, a]))
-    _emit(args, "\n".join(lines) + "\n")
+        if c.kind == "rayfan":
+            payload.update(directions=c.directions, radii=c.radii,
+                           rank_norm=c.achieved)
+        _emit(args, _write.json_text(payload))
     return _EXIT_OK
 
 
@@ -423,16 +381,15 @@ def cmd_content(args):
     if isinstance(measure, RadialClosedForm):
         payload["oracle"] = radial_content_oracle(measure, args.radius)
         payload["abs_error"] = abs(value - payload["oracle"])
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, _write.json_text(payload))
     return _EXIT_OK
 
 
 def cmd_selftest(args):
     passed, results, notes = selftest_mod.run_selftest()
     if getattr(args, "json", False):
-        _emit(args, json.dumps({"passed": passed, "checks": results,
-                                "notes": notes}, indent=2, sort_keys=True)
-              + "\n")
+        _emit(args, _write.json_text({"passed": passed, "checks": results,
+                                      "notes": notes}))
     else:
         lines = []
         for c in results:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from . import _write
 from . import specfun as sf
 from ._quadrature import sphere_rule
 from .errors import ParityError
@@ -42,17 +43,18 @@ class DepthContour:
                              "yourself or request a rayfan")
         return self.directions * self.radii[:, None]
 
-    def save_csv(self, path):
+    def csv_text(self) -> str:
         """One row per ray: direction components, radius, achieved |R|."""
         if self.kind == "radial":
             raise ValueError("rayfan contours only")
         d = self.directions.shape[1]
         names = [f"u{i+1}" for i in range(d)] + ["radius", "rank_norm"]
+        return _write.csv_text(names, np.column_stack(
+            [self.directions, self.radii, self.achieved]))
+
+    def save_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")
-            for u, r, a in zip(self.directions, self.radii, self.achieved):
-                row = list(u) + [r, a]
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write(self.csv_text())
 
     def summary(self) -> dict:
         out = {"beta": self.beta, "kind": self.kind,

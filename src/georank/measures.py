@@ -139,15 +139,22 @@ class RadialProfile:
 _R_SMALL = 1e-3
 
 
-def _piecewise(r, small_fn, large_fn):
+def _shaped(out, r):
+    """`out` in the shape of the radius argument r; a float for a scalar r."""
+    if np.ndim(r):
+        return out.reshape(np.shape(r))
+    return float(out[0] if np.ndim(out) else out)
+
+
+def _piecewise(r, small_fn, large_fn, cut=_R_SMALL):
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r_arr)
-    m = r_arr < _R_SMALL
+    m = r_arr < cut
     if np.any(m):
         out[m] = small_fn(r_arr[m])
     if np.any(~m):
         out[~m] = large_fn(r_arr[~m])
-    return out.reshape(np.shape(r)) if np.ndim(r) else float(out[0])
+    return _shaped(out, r)
 
 
 def _profile_gaussian_d3() -> RadialProfile:
@@ -193,8 +200,7 @@ def _profile_gaussian_d3() -> RadialProfile:
 
     def f(r):
         t = np.asarray(r, dtype=float)
-        out = np.exp(-0.5 * t * t) / (2 * np.pi) ** 1.5
-        return out if np.ndim(r) else float(out)
+        return _shaped(np.exp(-0.5 * t * t) / (2 * np.pi) ** 1.5, r)
 
     return RadialProfile(3, "gaussian", g, g_prime, h, h_prime, h_second, f,
                          g_over_r)
@@ -244,8 +250,7 @@ def _profile_cauchy_d3() -> RadialProfile:
 
     def f(r):
         t = np.asarray(r, dtype=float)
-        out = 1.0 / (np.pi ** 2 * (1.0 + t * t) ** 2)
-        return out if np.ndim(r) else float(out)
+        return _shaped(1.0 / (np.pi ** 2 * (1.0 + t * t) ** 2), r)
 
     return RadialProfile(3, "cauchy", g, g_prime, h, h_prime, h_second, f,
                          g_over_r)
@@ -253,15 +258,8 @@ def _profile_cauchy_d3() -> RadialProfile:
 
 def _i1e_over_x(x):
     """e^{-x} I1(x) / x, finite at x = 0 (limit 1/2)."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x_arr)
-    tiny = x_arr < 1e-4
-    if np.any(tiny):
-        t = x_arr[tiny]
-        out[tiny] = 0.5 - 0.5 * t + 0.3125 * t * t
-    if np.any(~tiny):
-        out[~tiny] = sf.bessel_i1e(x_arr[~tiny]) / x_arr[~tiny]
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+    return _piecewise(x, lambda t: 0.5 - 0.5 * t + 0.3125 * t * t,
+                      lambda t: sf.bessel_i1e(t) / t, cut=1e-4)
 
 
 def _profile_gaussian_d2() -> RadialProfile:
@@ -272,44 +270,37 @@ def _profile_gaussian_d2() -> RadialProfile:
     def g(r):
         t = np.asarray(r, dtype=float)
         q = 0.25 * t * t
-        out = a * t * (i0e(q) + i1e(q))
-        return out if np.ndim(r) else float(out)
+        return _shaped(a * t * (i0e(q) + i1e(q)), r)
 
     def g_over_r(r):
         t = np.asarray(r, dtype=float)
         q = 0.25 * t * t
-        out = a * (i0e(q) + i1e(q))
-        return out if np.ndim(r) else float(out)
+        return _shaped(a * (i0e(q) + i1e(q)), r)
 
     def g_prime(r):
         t = np.asarray(r, dtype=float)
         q = 0.25 * t * t
-        out = a * (i0e(q) - i1e(q))
-        return out if np.ndim(r) else float(out)
+        return _shaped(a * (i0e(q) - i1e(q)), r)
 
     def h(r):
         t = np.asarray(r, dtype=float)
-        out = b * i0e(0.25 * t * t)
-        return out if np.ndim(r) else float(out)
+        return _shaped(b * i0e(0.25 * t * t), r)
 
     def h_prime(r):
         t = np.asarray(r, dtype=float)
         q = 0.25 * t * t
-        out = b * 0.5 * t * (i1e(q) - i0e(q))
-        return out if np.ndim(r) else float(out)
+        return _shaped(b * 0.5 * t * (i1e(q) - i0e(q)), r)
 
     def h_second(r):
         t = np.asarray(r, dtype=float)
         q = 0.25 * t * t
         d1 = 0.5 * (i1e(q) - i0e(q))
         d2 = q * (2 * i0e(q) - 2 * i1e(q) - _i1e_over_x(q))
-        out = b * (d1 + d2)
-        return out if np.ndim(r) else float(out)
+        return _shaped(b * (d1 + d2), r)
 
     def f(r):
         t = np.asarray(r, dtype=float)
-        out = np.exp(-0.5 * t * t) / (2 * np.pi)
-        return out if np.ndim(r) else float(out)
+        return _shaped(np.exp(-0.5 * t * t) / (2 * np.pi), r)
 
     return RadialProfile(2, "gaussian", g, g_prime, h, h_prime, h_second, f,
                          g_over_r)
@@ -318,39 +309,32 @@ def _profile_gaussian_d2() -> RadialProfile:
 def _profile_cauchy_d2() -> RadialProfile:
     def g(r):
         t = np.asarray(r, dtype=float)
-        out = t / (1.0 + np.sqrt(1.0 + t * t))
-        return out if np.ndim(r) else float(out)
+        return _shaped(t / (1.0 + np.sqrt(1.0 + t * t)), r)
 
     def g_over_r(r):
         t = np.asarray(r, dtype=float)
-        out = 1.0 / (1.0 + np.sqrt(1.0 + t * t))
-        return out if np.ndim(r) else float(out)
+        return _shaped(1.0 / (1.0 + np.sqrt(1.0 + t * t)), r)
 
     def g_prime(r):
         t = np.asarray(r, dtype=float)
         s = np.sqrt(1.0 + t * t)
-        out = 1.0 / (s * (1.0 + s))
-        return out if np.ndim(r) else float(out)
+        return _shaped(1.0 / (s * (1.0 + s)), r)
 
     def h(r):
         t = np.asarray(r, dtype=float)
-        out = 1.0 / np.sqrt(1.0 + t * t)
-        return out if np.ndim(r) else float(out)
+        return _shaped(1.0 / np.sqrt(1.0 + t * t), r)
 
     def h_prime(r):
         t = np.asarray(r, dtype=float)
-        out = -t / (1.0 + t * t) ** 1.5
-        return out if np.ndim(r) else float(out)
+        return _shaped(-t / (1.0 + t * t) ** 1.5, r)
 
     def h_second(r):
         t = np.asarray(r, dtype=float)
-        out = (2.0 * t * t - 1.0) / (1.0 + t * t) ** 2.5
-        return out if np.ndim(r) else float(out)
+        return _shaped((2.0 * t * t - 1.0) / (1.0 + t * t) ** 2.5, r)
 
     def f(r):
         t = np.asarray(r, dtype=float)
-        out = 1.0 / (2 * np.pi * (1.0 + t * t) ** 1.5)
-        return out if np.ndim(r) else float(out)
+        return _shaped(1.0 / (2 * np.pi * (1.0 + t * t) ** 1.5), r)
 
     return RadialProfile(2, "cauchy", g, g_prime, h, h_prime, h_second, f,
                          g_over_r)
@@ -377,13 +361,11 @@ def density(m: Measure, x) -> float:
     if isinstance(m, Empirical):
         raise UnsupportedVariantError("an empirical measure has no density")
     x_arr = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x_arr)
     if isinstance(m, RadialClosedForm):
-        prof = radial_profile(m)
-        r = np.linalg.norm(np.atleast_2d(x_arr), axis=1)
-        out = prof.f(r)
-        return out if x_arr.ndim > 1 else float(out[0])
-    out = m.density(np.atleast_2d(x_arr))
-    out = np.asarray(out, dtype=float)
+        out = radial_profile(m).f(np.linalg.norm(pts, axis=1))
+    else:
+        out = np.asarray(m.density(pts), dtype=float)
     return out if x_arr.ndim > 1 else float(out[0])
 
 

@@ -40,8 +40,7 @@ def objective(ev: RankEvaluator, q: QuantileQuery, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     atoms, weights = ev.atoms()
-    g = sum(float((dist[0] - np.linalg.norm(atoms[cols], axis=1))
-                  @ weights[cols])
+    g = sum(float((dist[0] - ev.atom_norms[cols]) @ weights[cols])
             for _, cols, _, dist in _pair_blocks(x[None, :], atoms))
     return g - q.alpha * float(np.dot(q.u, x))
 

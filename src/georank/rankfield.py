@@ -10,11 +10,12 @@ derivatives therefore carry no finite-difference noise.
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (BudgetError, ParseError, SingularityError,
+from . import _write
+from .errors import (BudgetError, DomainError, ParseError, SingularityError,
                      StencilOverflowError, UnsupportedVariantError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
                        radial_profile, sample)
@@ -108,6 +109,14 @@ def _rank_sum(pts, atoms, weights):
     return out
 
 
+def _finite_points(x):
+    """x as a float array; DomainError if a coordinate is nan or inf."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("evaluation points must be finite")
+    return x
+
+
 def _check_not_atom(dist):
     if dist.min() < _ATOM_TOL:
         raise SingularityError(
@@ -165,9 +174,7 @@ class VectorGridField:
             "components": self.n_components,
         })
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for row in np.hstack([pts, vals]):
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write(_write.csv_text([header], np.hstack([pts, vals])))
 
     @classmethod
     def load(cls, path):
@@ -238,13 +245,18 @@ class RankEvaluator:
             self._weights = np.full(self.mc_n, 1.0 / self.mc_n)
         return self._atoms, self._weights
 
+    @cached_property
+    def atom_norms(self) -> np.ndarray:
+        """|z| of every atom of atoms(), computed once."""
+        return np.linalg.norm(self.atoms()[0], axis=1)
+
     # -- rank ---------------------------------------------------------------
 
     def rank(self, x) -> np.ndarray:
         return self.rank_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def rank_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        pts = _finite_points(pts)
         if self.mode == "radial":
             r = np.linalg.norm(pts, axis=1)
             return self._profile.g_over_r(r)[:, None] * pts
@@ -259,7 +271,7 @@ class RankEvaluator:
         derivative is assembled from the profile functions instead
         (supported up to |alpha| = 2).
         """
-        x = np.asarray(x, dtype=float)
+        x = _finite_points(x)
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.d or any(a < 0 for a in alpha):
             raise ValueError(f"alpha must be a length-{self.d} multi-index")
@@ -328,7 +340,7 @@ class RankEvaluator:
         return float(self.divergence_many(np.asarray(x, dtype=float)[None])[0])
 
     def divergence_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        pts = _finite_points(pts)
         if self.mode == "radial":
             return self._profile.h(np.linalg.norm(pts, axis=1))
         atoms, weights = self.atoms()
@@ -340,7 +352,7 @@ class RankEvaluator:
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian of the rank field; symmetric positive semidefinite."""
-        x = np.asarray(x, dtype=float)
+        x = _finite_points(x)
         d = self.d
         if self.mode == "radial":
             r = float(np.linalg.norm(x))

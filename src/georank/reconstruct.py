@@ -18,12 +18,12 @@ Laplacian, realized three interchangeable ways:
   measure this is exactly a Poisson-kernel density estimate with bandwidth t.
 """
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.special import j0
 
+from . import _write
 from . import specfun as sf
 from ._quadrature import (bessel_j0_integral, circle_rule, geometric_edges,
                           gl_nodes, gl_segments, sphere_rule)
@@ -72,13 +72,7 @@ class ReconstructionConfig:
             raise ValueError("extension_height must lie in (0, 0.5]")
 
     def echo(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, np.ndarray):
-                out[k] = v.tolist()
-            else:
-                out[k] = v
-        return out
+        return dict(self.__dict__)
 
 
 @dataclass
@@ -107,29 +101,35 @@ class ReconstructionReport:
         return np.abs(self.f_hat - self.f_reference)
 
     def to_json_dict(self) -> dict:
-        diag = {}
-        for k, v in self.diagnostics.items():
-            diag[k] = v.tolist() if isinstance(v, np.ndarray) else v
+        """The report's JSON payload for `_write.json_text`; arrays stay
+        arrays."""
         return {"method": self.method, "config": self.config,
-                "kind": self.kind, "diagnostics": diag}
+                "kind": self.kind, "diagnostics": self.diagnostics}
+
+    def csv_text(self) -> str:
+        """A curve as r, f_hat (plus f_reference, abs_error with a
+        reference); grid nodes or points as x1..xd, f_hat."""
+        if self.kind == "radial_curve":
+            cols = [self.radii, self.f_hat]
+            names = ["r", "f_hat"]
+            if self.f_reference is not None:
+                cols += [self.f_reference, self.abs_error]
+                names += ["f_reference", "abs_error"]
+        else:
+            pts = self.grid.nodes() if self.kind == "grid" else self.points
+            cols = [pts, self.f_hat.reshape(pts.shape[0], -1)]
+            names = [f"x{i+1}" for i in range(pts.shape[1])] + ["f_hat"]
+        return _write.csv_text(names, np.column_stack(cols))
 
     def save_curve_csv(self, path):
         if self.kind != "radial_curve":
             raise ValueError("curve CSV applies to radial reports")
-        cols = [self.radii, self.f_hat]
-        names = ["r", "f_hat"]
-        if self.f_reference is not None:
-            cols += [self.f_reference, self.abs_error]
-            names += ["f_reference", "abs_error"]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write(self.csv_text())
 
     def save_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_write.json_text(self.to_json_dict()))
 
 
 def load_curve_csv(path):
@@ -242,10 +242,8 @@ def reconstruct_odd_local(ev: RankEvaluator, cfg: ReconstructionConfig
                 diag["observed_order"] = float(np.log2(ec / ef))
         else:
             diag["coarse_spacing"] = coarse.spacing
-    report = ReconstructionReport("odd-local", cfg.echo(), "grid",
-                                  fine.values, f_reference=ref,
-                                  diagnostics=diag, grid=fine)
-    return report
+    return ReconstructionReport("odd-local", cfg.echo(), "grid", fine.values,
+                                f_reference=ref, diagnostics=diag, grid=fine)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -328,3 +331,75 @@ def test_threads_default_is_serial(monkeypatch, capsys):
     assert run(["reconstruct", "--family", "gaussian", "--dim", "3",
                 "--method", "odd-local", "--radii", "1:1:1"]) == 0
     assert seen == [None]
+
+
+# ---------------------------------------------------------------------------
+# bit-identical output
+# ---------------------------------------------------------------------------
+
+def _inputs(tmp_path):
+    rng = np.random.default_rng(5)
+    atoms, pts = tmp_path / "atoms.csv", tmp_path / "pts.csv"
+    atoms.write_text("x1,x2\n" + "".join(
+        "%.17g,%.17g\n" % tuple(r) for r in rng.standard_normal((40, 2))))
+    pts.write_text("".join("%.17g,%.17g\n" % tuple(r)
+                           for r in rng.standard_normal((9, 2))))
+    return str(atoms), str(pts)
+
+
+def _argv(cmd, atoms, pts):
+    return {
+        "rank": ["rank", "--csv", atoms, "--points", pts],
+        "quantile": ["quantile", "--csv", atoms, "--alpha", "0.4",
+                     "--direction", "1,1", "--tol", "1e-8"],
+        "reconstruct": ["reconstruct", "--csv", atoms, "--method",
+                        "extension", "--points", pts, "--height", "0.2"],
+        "contour": ["contour", "--csv", atoms, "--beta", "0.5", "--rays",
+                    "12"],
+        "content": ["content", "--family", "gaussian", "--dim", "3",
+                    "--radius", "1"],
+    }[cmd] + ["--seed", "7"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cmd", ["rank", "quantile", "reconstruct",
+                                 "contour", "content"])
+def test_identical_flags_write_identical_bytes(tmp_path, cmd, fmt):
+    argv = _argv(cmd, *_inputs(tmp_path)) + ["--format", fmt]
+    written = []
+    for k in range(2):
+        out = tmp_path / f"{k}.out"
+        assert run(argv + ["-o", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] and written[0] == written[1]
+
+
+def test_singular_threads_one_and_two_write_identical_bytes(tmp_path):
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        assert run(["reconstruct", "--family", "gaussian", "--dim", "2",
+                    "--method", "singular", "--radii", "0:1.5:0.5",
+                    "--threads", threads, "-o", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert len(written[0].splitlines()) == 5
+
+
+def test_back_to_back_commands_match_fresh_processes(tmp_path):
+    # the parser is built once per process and shared by every main() call
+    assert cli._build_parser() is cli._build_parser()
+    atoms, pts = _inputs(tmp_path)
+    argvs = [_argv("rank", atoms, pts), _argv("quantile", atoms, pts)]
+    src = os.path.dirname(os.path.dirname(gr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for i, argv in enumerate(argvs):
+        subprocess.run([sys.executable, "-m", "georank.cli", *argv,
+                        "-o", str(tmp_path / f"alone{i}")], check=True,
+                       env=env)
+    for i, argv in enumerate(argvs):
+        assert run(argv + ["-o", str(tmp_path / f"together{i}")]) == 0
+    for i in range(len(argvs)):
+        assert ((tmp_path / f"alone{i}").read_bytes()
+                == (tmp_path / f"together{i}").read_bytes())

@@ -73,6 +73,22 @@ def test_profile_examples():
 
 
 @pytest.mark.parametrize("fam,d", FAMILIES)
+def test_profile_scalar_gives_float_array_keeps_shape(fam, d):
+    p = gr.radial_profile(gr.RadialClosedForm(fam, d))
+    r = np.array([[0.0, 5e-4], [0.5, 3.0]])       # both sides of the cut
+    for name in ("g", "g_over_r", "g_prime", "h", "h_prime", "h_second",
+                 "f"):
+        fn = getattr(p, name)
+        out = fn(r)
+        assert isinstance(out, np.ndarray) and out.shape == r.shape
+        for i, j in np.ndindex(r.shape):
+            v = fn(float(r[i, j]))
+            # numpy's scalar and vector pow may differ in the last bit
+            assert type(v) is float
+            assert v == pytest.approx(out[i, j], rel=1e-15, abs=0), name
+
+
+@pytest.mark.parametrize("fam,d", FAMILIES)
 def test_profile_shape_invariants(fam, d):
     p = gr.radial_profile(gr.RadialClosedForm(fam, d))
     assert p.g(0.0) == pytest.approx(0.0, abs=1e-300)

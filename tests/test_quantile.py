@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import georank as gr
+from georank import rankfield
 from georank.errors import DegenerateSupportError
 
 FAMILIES = [("gaussian", 2), ("gaussian", 3), ("cauchy", 2), ("cauchy", 3)]
@@ -145,3 +146,21 @@ def test_objective_descent_along_accepted_steps():
                       1e-10, trace=trace)
     assert len(trace) >= 2
     assert np.all(np.diff(trace) <= 1e-14)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_objective_with_cached_norms_equals_per_call_norms(monkeypatch, d):
+    # blocks of 7 pairs, so one point splits the atoms into many blocks
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 7)
+    rng = np.random.default_rng(d)
+    atoms = rng.standard_normal((60, d)) * [1.0, 3.0, 0.1][:d]
+    w = rng.uniform(1.0, 2.0, 60)
+    ev = gr.RankEvaluator(gr.Empirical(atoms, w / w.sum()))
+    a, w = ev.atoms()
+    q = gr.QuantileQuery(0.3, _unit(rng.standard_normal(d)))
+    for x in rng.standard_normal((10, d)):
+        # |z| recomputed per block, as before the per-evaluator cache
+        g = sum(float((dist[0] - np.linalg.norm(a[cols], axis=1)) @ w[cols])
+                for _, cols, _, dist in rankfield._pair_blocks(x[None, :], a))
+        assert gr.objective(ev, q, x) == g - q.alpha * float(np.dot(q.u, x))
+    assert ev.atom_norms is ev.atom_norms

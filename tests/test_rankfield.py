@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import georank as gr
-from georank.errors import (BudgetError, SingularityError,
+from georank.errors import (BudgetError, DomainError, SingularityError,
                             StencilOverflowError)
 from georank.rankfield import kernel_derivative_terms, _eval_terms
 
@@ -339,3 +339,35 @@ def test_scalar_grid_save_load_roundtrip(tmp_path):
     back = gr.VectorGridField.load(path)
     assert back.shape == div.shape
     assert np.array_equal(back.values, div.values)
+
+
+# ---------------------------------------------------------------------------
+# evaluation points must be finite
+# ---------------------------------------------------------------------------
+
+_EVALUATORS = {
+    "exact": lambda: _ev_empirical([[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0]]),
+    "radial": lambda: gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2)),
+    "mc": lambda: gr.RankEvaluator(gr.RadialClosedForm("cauchy", 2),
+                                   mc_n=500, force_mc=True),
+}
+_METHODS = {
+    "rank": lambda ev, x: ev.rank(x),
+    "rank_many": lambda ev, x: ev.rank_many(np.vstack([[0.3, 0.1], x])),
+    "divergence": lambda ev, x: ev.divergence(x),
+    "divergence_many": lambda ev, x: ev.divergence_many(
+        np.vstack([[0.3, 0.1], x])),
+    "jacobian": lambda ev, x: ev.jacobian(x),
+    "rank_derivative": lambda ev, x: ev.rank_derivative(x, (1, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", sorted(_METHODS))
+@pytest.mark.parametrize("mode", sorted(_EVALUATORS))
+def test_non_finite_points_rejected(mode, method, bad):
+    ev = _EVALUATORS[mode]()
+    assert ev.mode == mode
+    with pytest.raises(DomainError, match="finite"):
+        _METHODS[method](ev, np.array([0.2, bad]))
+    _METHODS[method](ev, np.array([0.2, 0.7]))     # finite points still work

@@ -1,0 +1,199 @@
+"""The one output writer: byte-for-byte equal to the plain row loop and to
+json.dumps(indent=2, sort_keys=True) on every payload georank writes."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+import georank as gr
+from georank import selftest as selftest_mod
+from georank._write import csv_text, json_text
+
+
+def row_loop_csv(names, rows):
+    """The per-row writer the CLI and the save methods used to run."""
+    lines = [",".join(names)]
+    for row in rows:
+        lines.append(",".join("%.17g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def tolist(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: tolist(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [tolist(v) for v in obj]
+    return obj
+
+
+def dumps_json(obj):
+    return json.dumps(tolist(obj), indent=2, sort_keys=True) + "\n"
+
+
+def assert_json_same(obj):
+    assert json_text(obj) == dumps_json(obj)
+
+
+def _grid_points(d, n):
+    mesh = np.meshgrid(*[np.linspace(-2.0, 2.0, n)] * d, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def test_grid_table_and_payload():
+    pts = _grid_points(3, 7)
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3))
+    ranks = ev.rank_many(pts)
+    names = ["x1", "x2", "x3", "r1", "r2", "r3"]
+    rows = [list(p) + list(r) for p, r in zip(pts, ranks)]
+    assert csv_text(names, np.hstack([pts, ranks])) == row_loop_csv(names,
+                                                                     rows)
+    assert_json_same({"points": pts, "rank": ranks})
+
+
+def test_points_table_with_int_at_atom_column():
+    rng = np.random.default_rng(11)
+    atoms = rng.standard_normal((20, 2))
+    pts = np.vstack([rng.standard_normal((6, 2)), atoms[:3]])
+    ranks = gr.RankEvaluator(gr.Empirical(atoms)).rank_many(pts)
+    at_atom = np.array([0] * 6 + [1] * 3)
+    names = ["x1", "x2", "r1", "r2", "at_atom"]
+    # the old writer formatted the numpy ints themselves
+    rows = [list(p) + list(r) + [a] for p, r, a in zip(pts, ranks, at_atom)]
+    table = np.column_stack([pts, ranks, at_atom])
+    assert csv_text(names, table) == row_loop_csv(names, rows)
+    assert csv_text(names, table).splitlines()[-1].endswith(",1")
+    assert_json_same({"points": pts, "rank": ranks, "at_atom": at_atom})
+
+
+@pytest.mark.parametrize("reference", [True, False])
+def test_radial_curve(reference, tmp_path):
+    ev = gr.RankEvaluator(gr.RadialClosedForm("cauchy", 2))
+    cfg = gr.ReconstructionConfig(method="singular",
+                                  radii=np.linspace(0.0, 1.5, 4))
+    rep = gr.reconstruct_even_singular(ev, cfg)
+    if not reference:
+        rep.f_reference = None
+    cols = [rep.radii, rep.f_hat]
+    names = ["r", "f_hat"]
+    if reference:
+        cols += [rep.f_reference, rep.abs_error]
+        names += ["f_reference", "abs_error"]
+    expected = row_loop_csv(names, zip(*cols))
+    assert rep.csv_text() == expected
+    rep.save_curve_csv(tmp_path / "curve.csv")
+    assert (tmp_path / "curve.csv").read_text() == expected
+    payload = rep.to_json_dict()
+    payload.update(r=rep.radii, f_hat=rep.f_hat)
+    if reference:
+        payload["f_reference"] = rep.f_reference
+    assert_json_same(payload)
+
+
+def test_report_config_and_diagnostics(tmp_path):
+    rng = np.random.default_rng(12)
+    atoms = rng.standard_normal((30, 2))
+    pts = rng.standard_normal((5, 2))
+    cfg = gr.ReconstructionConfig(method="extension", points=pts,
+                                  extension_height=0.2)
+    rep = gr.reconstruct_extension(gr.RankEvaluator(gr.Empirical(atoms)),
+                                   cfg)
+    payload = rep.to_json_dict()
+    assert isinstance(payload["config"]["points"], np.ndarray)
+    assert_json_same(payload)
+    rep.save_json(tmp_path / "rep.json")
+    assert (tmp_path / "rep.json").read_text() == dumps_json(payload)
+    rows = [list(p) + [f] for p, f in zip(pts, rep.f_hat)]
+    assert rep.csv_text() == row_loop_csv(["x1", "x2", "f_hat"], rows)
+
+
+def test_contour_rayfan_and_radial(tmp_path):
+    rng = np.random.default_rng(13)
+    ev = gr.RankEvaluator(gr.Empirical(rng.standard_normal((40, 2))))
+    c = gr.contour(ev, 0.4, n_rays=9)
+    rows = [list(u) + [r, a]
+            for u, r, a in zip(c.directions, c.radii, c.achieved)]
+    expected = row_loop_csv(["u1", "u2", "radius", "rank_norm"], rows)
+    c.save_csv(tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_text() == expected
+    payload = c.summary()
+    payload.update(directions=c.directions, radii=c.radii,
+                   rank_norm=c.achieved)
+    assert_json_same(payload)
+    radial = gr.contour(gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2)),
+                        0.5)
+    assert_json_same(radial.summary())
+
+
+def test_quantile_content_and_selftest_payloads():
+    x = np.array([0.25, -1.0 / 3.0])
+    residual = 3.0e-17
+    assert csv_text(["q1", "q2", "residual"], [list(x) + [residual]]) == \
+        row_loop_csv(["q1", "q2", "residual"], [list(x) + [residual]])
+    assert_json_same({"quantile": x, "residual": residual})
+    assert_json_same({"radius": 1.0, "content": 0.19874804309879915,
+                      "path": "analytic", "oracle": 0.1987480430987992,
+                      "abs_error": 5.551115123125783e-17})
+    passed, results, notes = selftest_mod.run_selftest()
+    assert_json_same({"passed": passed, "checks": results, "notes": notes})
+
+
+def test_grid_field_rows(tmp_path):
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    field = gr.sample_grid(ev, (-1.0, 1.0), 6)
+    field.save(tmp_path / "f.txt")
+    header, rest = (tmp_path / "f.txt").read_text().split("\n", 1)
+    rows = np.hstack([field.nodes(), field.values.reshape(36, -1)])
+    assert json.loads(header)["shape"] == [6, 6]
+    assert header + "\n" + rest == row_loop_csv([header], rows)
+
+
+def test_negative_zero_fast_path_and_non_finite_fallback():
+    assert_json_same(np.array([-0.0, 0.0, 1e-320, 1.5e300]))
+    assert json_text(np.array([[-0.0]])) == "[\n  [\n    -0.0\n  ]\n]\n"
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.array([[1.0, bad], [-0.0, 2.0]])
+        assert_json_same({"a": a, "b": a[0]})
+        assert csv_text(["a", "b"], a) == row_loop_csv(["a", "b"], a)
+    assert "NaN" in json_text(np.array([np.nan]))
+    assert csv_text(["a"], [[-0.0]]) == "a\n-0\n"
+
+
+def test_empty_tables():
+    assert csv_text(["x1", "r1"], np.empty((0, 2))) == "x1,r1\n"
+    for obj in (np.empty(0), np.empty((0, 3)), np.empty((2, 0)), {}, [],
+                {"a": np.empty(0), "b": {}}):
+        assert_json_same(obj)
+
+
+def test_non_string_keys_and_bools_fall_back():
+    assert_json_same({2: np.array([1.0]), 1: True})
+    assert_json_same(np.array([True, False]))
+    assert_json_same([np.array([1, 2]), None, "x\ny", {"k": [np.ones(2)]}])
+
+
+_floats = st.floats(width=64)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_shapes = array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), _floats,
+    st.text(max_size=6),
+    arrays(np.float64, _shapes, elements=_finite),
+    arrays(np.float64, _shapes, elements=_floats),
+    arrays(np.int64, _shapes, elements=st.integers(-9, 9)))
+_payloads = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=5), kids,
+                                           max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_payloads)
+def test_json_text_equals_json_dumps(payload):
+    assert json_text(payload) == dumps_json(payload)
