@@ -14,11 +14,11 @@ from .errors import (BudgetError, ConfigError, DecayError,
                      ParityError, ParseError, SingularityError,
                      StencilOverflowError, ToleranceError,
                      UnsupportedVariantError)
-from .specfun import (Dimension, bessel_i0, bessel_i0e, bessel_i1,
-                      bessel_i1e, c_ds, erf, erfc, gamma_d, gamma_fn,
-                      lambda_dl, std_normal_cdf, std_normal_pdf)
+from .specfun import (bessel_i0, bessel_i0e, bessel_i1, bessel_i1e, c_ds,
+                      erf, erfc, gamma_d, gamma_fn, lambda_dl,
+                      std_normal_cdf, std_normal_pdf)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
-                       RadialProfile, density, empirical_from_csv,
+                       RadialProfile, density, empirical_from_csv, invert_g,
                        radial_profile, sample)
 from .rankfield import (RankEvaluator, VectorGridField, fd_derivative,
                         fd_divergence, fd_laplacian, sample_grid)
@@ -27,7 +27,7 @@ from .quantile import (QuantileQuery, objective, rank_of_quantile_roundtrip,
 from .reconstruct import (PolynomialBump, ReconstructionConfig,
                           ReconstructionReport, divergence_fourier_profile,
                           half_laplacian_singular, hankel_transform_order0,
-                          load_curve_csv, poisson_smooth,
+                          load_curve_csv, poisson_smooth, reconstruct_density,
                           reconstruct_even_singular, reconstruct_extension,
                           reconstruct_isotropic_hankel, reconstruct_odd_local,
                           verify_identity_on_test_function)

@@ -3,9 +3,8 @@
     georank <rank|quantile|reconstruct|contour|content|selftest> [flags]
 
 Measures come from --family/--dim (closed-form radial) or --csv (empirical
-atoms).  All randomized paths require an explicit --seed; identical flags
-and seed produce bit-identical output files.  A JSON file of flag defaults
-can be supplied with --config; explicitly passed flags win.
+atoms).  Identical flags produce bit-identical output files.  A JSON file of
+flag defaults can be supplied with --config; explicitly passed flags win.
 
 Exit codes: 0 ok, 1 selftest failure, 2 configuration error, 3 numeric
 failure, 4 solver non-convergence.
@@ -27,9 +26,7 @@ from .errors import (BudgetError, ConfigError, GeorankError,
 from .measures import RadialClosedForm, empirical_from_csv
 from .quantile import QuantileQuery, solve_quantile
 from .rankfield import _GRID_NODE_CAP, RankEvaluator, _pair_blocks
-from .reconstruct import (ReconstructionConfig, reconstruct_even_singular,
-                          reconstruct_extension, reconstruct_isotropic_hankel,
-                          reconstruct_odd_local)
+from .reconstruct import ReconstructionConfig, reconstruct_density
 
 _EXIT_OK = 0
 _EXIT_SELFTEST = 1
@@ -42,10 +39,8 @@ _COMMON_FLAGS = [
     ("--family", str, None, "closed-form family: gaussian | cauchy"),
     ("--dim", int, None, "ambient dimension d"),
     ("--csv", str, None, "empirical atoms CSV (d or d+1 numeric columns)"),
-    ("--seed", int, None, "RNG seed (required for randomized paths)"),
     ("--out", str, None, "output path (default: stdout)"),
     ("--format", str, "csv", "output format: csv | json"),
-    ("--threads", int, None, "worker-pool cap (default: serial)"),
     ("--config", str, None, "JSON file of flag defaults; flags win"),
 ]
 
@@ -53,13 +48,11 @@ _FLAGS = {
     "rank": _COMMON_FLAGS + [
         ("--points", str, None, "CSV of evaluation points (d columns)"),
         ("--grid", str, None, "grid spec lo:hi:n per axis"),
-        ("--mc-budget", int, 200000, "Monte-Carlo sample size"),
     ],
     "quantile": _COMMON_FLAGS + [
         ("--alpha", float, None, "quantile order in [0,1)"),
         ("--direction", str, None, "unit direction, comma-separated"),
         ("--tol", float, 1e-8, "residual tolerance"),
-        ("--mc-budget", int, 200000, "Monte-Carlo sample size"),
     ],
     "reconstruct": _COMMON_FLAGS + [
         ("--method", str, None,
@@ -75,13 +68,12 @@ _FLAGS = {
         ("--nodes", int, 61, "grid nodes per axis (odd-local grid path)"),
         ("--box", str, "-3:3", "grid box lo:hi (odd-local grid path)"),
         ("--height", float, 0.01, "extension height t"),
-        ("--mc-budget", int, 200000, "Monte-Carlo sample size"),
+        ("--threads", int, None, "worker-pool cap (default: serial)"),
     ],
     "contour": _COMMON_FLAGS + [
         ("--beta", float, None, "contour level in [0,1)"),
         ("--rays", int, 64, "number of rays"),
         ("--tol", float, 1e-10, "per-ray root tolerance"),
-        ("--mc-budget", int, 200000, "Monte-Carlo sample size"),
     ],
     "content": _COMMON_FLAGS + [
         ("--radius", float, None, "ball radius R"),
@@ -159,17 +151,6 @@ def _measure(args):
     return empirical_from_csv(args.csv, d=getattr(args, "dim", None))
 
 
-def _evaluator(args, measure):
-    mc = getattr(args, "mc_budget", None) or 200000
-    ev = RankEvaluator(measure, mc_n=mc,
-                       seed=args.seed if args.seed is not None else 0)
-    if ev.mode == "mc" and args.seed is None:
-        # reproducibility promise: randomized paths need an explicit seed
-        raise ConfigError("this computation draws Monte-Carlo samples; "
-                          "pass an explicit --seed")
-    return ev
-
-
 def _parse_range(spec, what):
     try:
         a, b, step = (float(tok) for tok in spec.split(":"))
@@ -232,7 +213,7 @@ def _emit(args, text):
 
 def cmd_rank(args):
     measure = _measure(args)
-    ev = _evaluator(args, measure)
+    ev = RankEvaluator(measure)
     if args.points:
         pts = _read_points(args.points, ev.d)
     elif args.grid:
@@ -269,7 +250,7 @@ def cmd_rank(args):
 
 def cmd_quantile(args):
     measure = _measure(args)
-    ev = _evaluator(args, measure)
+    ev = RankEvaluator(measure)
     _require(args, "alpha", "direction")
     u = np.array([float(t) for t in args.direction.split(",")])
     if u.shape[0] != ev.d:
@@ -292,29 +273,10 @@ def cmd_quantile(args):
     return _EXIT_OK
 
 
-def _static_validate_reconstruct(args, measure):
-    d = measure.d
-    odd = d % 2 == 1
-    if args.method == "odd-local" and not odd:
-        raise ConfigError(f"method odd-local requires odd dimension, got d={d}")
-    if args.method in ("singular", "hankel", "extension") and odd:
-        raise ConfigError(f"method {args.method} requires even dimension, "
-                          f"got d={d}")
-    if args.method == "hankel" and not isinstance(measure, RadialClosedForm):
-        raise ConfigError("the hankel method applies to the closed-form "
-                          "radial families only")
-    if (args.method == "singular"
-            and not isinstance(measure, RadialClosedForm)
-            and not args.points):
-        raise ConfigError("singular reconstruction of an empirical measure "
-                          "needs --points")
-
-
 def cmd_reconstruct(args):
     measure = _measure(args)
     _require(args, "method")
-    _static_validate_reconstruct(args, measure)
-    ev = _evaluator(args, measure)
+    ev = RankEvaluator(measure)
     radii = _parse_range(args.radii, "radii") if args.radii else None
     points = _read_points(args.points, measure.d) if args.points else None
     box = args.box.split(":")
@@ -324,20 +286,11 @@ def cmd_reconstruct(args):
         cfg = ReconstructionConfig(
             method=args.method, eta=args.eta, r_max=args.rmax,
             fd_order=args.fd_order, grid_box=(float(box[0]), float(box[1])),
-            grid_nodes=args.nodes, mc_budget=args.mc_budget,
-            seed=args.seed or 0, extension_height=args.height, radii=radii,
-            points=points)
+            grid_nodes=args.nodes, extension_height=args.height,
+            radii=radii, points=points, workers=args.threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.workers = args.threads
-    if args.method == "odd-local":
-        rep = reconstruct_odd_local(ev, cfg)
-    elif args.method == "singular":
-        rep = reconstruct_even_singular(ev, cfg)
-    elif args.method == "hankel":
-        rep = reconstruct_isotropic_hankel(ev, cfg)
-    else:
-        rep = reconstruct_extension(ev, cfg)
+    rep = reconstruct_density(ev, cfg)
     if not args.reference:
         rep.f_reference = None
     if args.format == "json":
@@ -354,7 +307,7 @@ def cmd_reconstruct(args):
 
 def cmd_contour(args):
     measure = _measure(args)
-    ev = _evaluator(args, measure)
+    ev = RankEvaluator(measure)
     _require(args, "beta")
     if not 0.0 <= args.beta < 1.0:
         raise ConfigError("beta must lie in [0, 1)")
@@ -372,7 +325,7 @@ def cmd_contour(args):
 
 def cmd_content(args):
     measure = _measure(args)
-    ev = _evaluator(args, measure)
+    ev = RankEvaluator(measure)
     _require(args, "radius")
     if ev.d % 2 == 0:
         raise ConfigError("surface-integral content requires odd dimension")
@@ -420,17 +373,12 @@ def main(argv=None) -> int:
     try:
         merged = _merge_config(args)
         return _HANDLERS[merged.command](merged)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParityError, ParseError) as exc:
         print(f"georank: configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except NonConvergenceError as exc:
         print(f"georank: solver did not converge: {exc}", file=sys.stderr)
         return _EXIT_NONCONV
-    except ParityError as exc:
-        # statically checkable parity problems are caught before compute and
-        # reported as config errors; anything here surfaced mid-computation
-        print(f"georank: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
     except (GeorankError, ValueError) as exc:
         print(f"georank: numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC

@@ -18,7 +18,7 @@ from . import _write
 from . import specfun as sf
 from ._quadrature import sphere_rule
 from .errors import ParityError
-from .measures import RadialClosedForm, sample
+from .measures import RadialClosedForm, invert_g, sample
 from .rankfield import RankEvaluator
 
 _RAY_CAP = 1e9
@@ -108,12 +108,8 @@ def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
         return DepthContour(beta, "rayfan", directions=dirs, radii=zero,
                             achieved=zero.copy())
     if ev.mode == "radial":
-        prof = ev.profile
-        hi = 1.0
-        while prof.g(hi) < beta:
-            hi *= 2.0
-        r = brentq(lambda t: prof.g(t) - beta, 0.0, hi, xtol=1e-14)
-        return DepthContour(beta, "radial", r_beta=float(r))
+        return DepthContour(beta, "radial",
+                            r_beta=float(invert_g(ev.profile, beta)))
 
     atoms = ev.atoms()[0] if ev.mode in ("exact", "mc") else None
     dirs = _ray_directions(ev.d, n_rays)
@@ -242,12 +238,7 @@ def theta_radial_exact(ev: RankEvaluator, beta: float) -> float:
         raise ValueError("exact theta requires a radial closed form")
     if beta <= 0.0:
         return 0.0
-    prof = ev.profile
-    hi = 1.0
-    while prof.g(hi) < beta:
-        hi *= 2.0
-    r = brentq(lambda t: prof.g(t) - beta, 0.0, hi, xtol=1e-14)
-    return radial_content_oracle(ev.measure, r)
+    return radial_content_oracle(ev.measure, invert_g(ev.profile, beta))
 
 
 def theta_reindex(ev: RankEvaluator, beta: float, mc_budget: int = 100_000,

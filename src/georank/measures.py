@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import specfun as sf
-from .errors import (DimensionMismatchError, DomainError, ParseError,
-                     UnsupportedVariantError)
+from .errors import (DimensionMismatchError, DomainError, NonConvergenceError,
+                     ParseError, UnsupportedVariantError)
 
 _FAMILIES = ("gaussian", "cauchy")
 
@@ -354,6 +355,25 @@ def radial_profile(m: Measure) -> RadialProfile:
         raise UnsupportedVariantError(
             "radial_profile is defined for RadialClosedForm measures only")
     return _PROFILE_BUILDERS[(m.family, m.d)]()
+
+
+# Past 2^53 every family's g rounds to 1.0, so a bracket that grows beyond
+# this cap can never close.
+_BRACKET_CAP = 1e18
+
+
+def invert_g(profile: RadialProfile, beta: float) -> float:
+    """Radius r with g(r) = beta: the bracket [0, hi] doubles from hi = 1
+    until g(hi) >= beta, then Brent's method closes it.  Raises
+    NonConvergenceError when the bracket passes the cap."""
+    hi = 1.0
+    while profile.g(hi) < beta:
+        hi *= 2.0
+        if hi > _BRACKET_CAP:
+            raise NonConvergenceError(
+                f"radial profile never reaches {beta!r}",
+                residual=beta - profile.g(hi))
+    return brentq(lambda t: profile.g(t) - beta, 0.0, hi, xtol=1e-14)
 
 
 def density(m: Measure, x) -> float:

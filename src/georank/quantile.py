@@ -7,9 +7,9 @@ finding on the radial profile when the measure is spherically symmetric.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateSupportError, NonConvergenceError
+from .measures import invert_g
 from .rankfield import RankEvaluator, _pair_blocks
 
 _MAX_ITERS = 200
@@ -63,21 +63,6 @@ def _weiszfeld_step(atoms, weights, alpha_u, x):
     return num / den
 
 
-def _solve_radial(ev, q, tol):
-    prof = ev.profile
-    if q.alpha == 0.0:
-        return np.zeros(ev.d)
-    hi = 1.0
-    while prof.g(hi) < q.alpha:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NonConvergenceError("radial profile never reaches alpha",
-                                      residual=q.alpha - prof.g(hi))
-    r = brentq(lambda t: prof.g(t) - q.alpha, 0.0, hi, xtol=1e-14,
-               rtol=8.9e-16)
-    return r * q.u
-
-
 def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
                    tol: float = None, trace: list = None) -> np.ndarray:
     """Point x with |R(x) - alpha u| <= tol.
@@ -92,7 +77,9 @@ def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
     if tol is None:
         tol = 1e-10 if ev.mode == "exact" else 1e-8
     if ev.mode == "radial":
-        return _solve_radial(ev, q, tol)
+        if q.alpha == 0.0:
+            return np.zeros(ev.d)
+        return invert_g(ev.profile, q.alpha) * q.u
 
     atoms, weights = ev.atoms()
     if _atoms_collinear(atoms):

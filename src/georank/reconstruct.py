@@ -27,8 +27,8 @@ from . import _write
 from . import specfun as sf
 from ._quadrature import (bessel_j0_integral, circle_rule, geometric_edges,
                           gl_nodes, gl_segments, sphere_rule)
-from .errors import (BudgetError, DecayError, ParityError, ParseError,
-                     ToleranceError)
+from .errors import (BudgetError, ConfigError, DecayError, ParityError,
+                     ParseError, ToleranceError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
                        density as measure_density, radial_profile)
 from .rankfield import (RankEvaluator, VectorGridField, _pair_blocks,
@@ -45,8 +45,6 @@ class ReconstructionConfig:
     fd_order: int = 2
     grid_box: tuple = (-3.0, 3.0)
     grid_nodes: int = 61
-    mc_budget: int = 200_000
-    seed: int = 0
     extension_height: float = 0.01
     radii: np.ndarray = None       # evaluation radii (radial measures)
     points: np.ndarray = None      # evaluation points (general measures)
@@ -72,7 +70,10 @@ class ReconstructionConfig:
             raise ValueError("extension_height must lie in (0, 0.5]")
 
     def echo(self) -> dict:
-        return dict(self.__dict__)
+        """The settings that shape the numbers; the pool size never does."""
+        out = dict(self.__dict__)
+        del out["workers"]
+        return out
 
 
 @dataclass
@@ -199,7 +200,8 @@ def reconstruct_odd_local(ev: RankEvaluator, cfg: ReconstructionConfig
     """
     d = ev.d
     if d % 2 == 0:
-        raise ParityError("odd-local reconstruction requires odd d")
+        raise ParityError("odd-local reconstruction requires odd d, "
+                          f"got d={d}")
     if ev.mode == "radial" and d == 3 and not cfg.force_grid:
         prof = ev.profile
         radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
@@ -327,7 +329,8 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
     """Even-d reconstruction via the pointwise singular integral."""
     d = ev.d
     if d % 2 == 1:
-        raise ParityError("singular-integral reconstruction requires even d")
+        raise ParityError("singular-integral reconstruction requires even "
+                          f"d, got d={d}")
     ufunc, tail = _scalar_u_and_tail(ev, cfg)
 
     radial = ev.mode == "radial"
@@ -338,7 +341,8 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
         pts[:, 0] = radii
     else:
         if cfg.points is None:
-            raise ValueError("cfg.points is required for non-radial measures")
+            raise ConfigError("singular reconstruction of a non-radial "
+                              "measure needs evaluation points (--points)")
         pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
         radii = None
 
@@ -546,7 +550,8 @@ def reconstruct_extension(ev_or_measure, cfg: ReconstructionConfig
                if isinstance(ev_or_measure, RankEvaluator) else ev_or_measure)
     d = measure.d
     if d % 2 == 1:
-        raise ParityError("the extension route embeds an even-d measure")
+        raise ParityError("the extension route embeds an even-d measure, "
+                          f"got d={d}")
     radial = isinstance(measure, RadialClosedForm)
     if cfg.points is not None:
         pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
@@ -574,6 +579,22 @@ def reconstruct_extension(ev_or_measure, cfg: ReconstructionConfig
     return ReconstructionReport("extension", cfg.echo(), kind, f_hat,
                                 radii=radii, points=None if radii is not None else pts,
                                 f_reference=f_ref, diagnostics=diag)
+
+
+def reconstruct_density(ev: RankEvaluator, cfg: ReconstructionConfig
+                        ) -> ReconstructionReport:
+    """Run the pipeline that ``cfg.method`` names.  Each pipeline refuses the
+    dimension parity or the measure it cannot handle (ParityError,
+    ConfigError)."""
+    if cfg.method == "odd-local":
+        return reconstruct_odd_local(ev, cfg)
+    if cfg.method == "singular":
+        return reconstruct_even_singular(ev, cfg)
+    if cfg.method == "hankel":
+        return reconstruct_isotropic_hankel(ev, cfg)
+    if cfg.method == "extension":
+        return reconstruct_extension(ev, cfg)
+    raise ConfigError(f"unknown method {cfg.method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ identity tests in the suite exercise the arithmetic.  All functions accept
 scalars or numpy arrays and are pure.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as _sps
 
@@ -20,30 +18,8 @@ from .errors import DomainError
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """Ambient dimension with parity accessors."""
-
-    d: int
-
-    def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise DomainError(f"dimension must be an integer >= 1, got {self.d!r}")
-
-    @property
-    def odd(self) -> bool:
-        return self.d % 2 == 1
-
-    @property
-    def even(self) -> bool:
-        return self.d % 2 == 0
-
-    def __int__(self) -> int:
-        return self.d
-
-
 def _as_dim(d) -> int:
-    """Coerce Dimension | int to a validated int."""
+    """Coerce d to a validated int."""
     n = int(d)
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")

@@ -91,7 +91,7 @@ def test_reconstruct_output_idempotent(tmp_path):
     for path in (a, b):
         code = run(["reconstruct", "--family", "gaussian", "--dim", "3",
                     "--method", "odd-local", "--radii", "0.1:2:0.1",
-                    "--reference", "--seed", "1", "-o", str(path)])
+                    "--reference", "-o", str(path)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -196,9 +196,13 @@ def test_help_documents_every_flag(capsys):
     assert sub_actions
     for name, sub in sub_actions[0].choices.items():
         help_text = sub.format_help()
-        for action in sub._actions:
-            for opt in action.option_strings:
-                assert opt in help_text, f"{name}: {opt} undocumented"
+        opts = {opt for action in sub._actions
+                for opt in action.option_strings}
+        for opt in opts:
+            assert opt in help_text, f"{name}: {opt} undocumented"
+        # no flag that no code reads
+        assert not opts & {"--mc-budget", "--seed"}, name
+        assert ("--threads" in opts) == (name == "reconstruct"), name
 
 
 def test_rank_grid_output(tmp_path):
@@ -257,6 +261,27 @@ def test_reconstruct_hankel_requires_radial(tmp_path):
     atoms.write_text("0,0\n1,0\n")
     code = run(["reconstruct", "--csv", str(atoms), "--method", "hankel"])
     assert code == 2
+
+
+@pytest.mark.parametrize("source, method, needs", [
+    (["--family", "gaussian", "--dim", "2"], "odd-local", "odd d"),
+    (["--family", "gaussian", "--dim", "3"], "singular", "even d"),
+    (["--family", "cauchy", "--dim", "3"], "hankel", "d = 2"),
+    (["--family", "gaussian", "--dim", "3"], "extension", "even-d"),
+    ("atoms", "hankel", "closed-form radial"),
+    ("atoms", "singular", "--points"),
+], ids=["odd-local-d2", "singular-d3", "hankel-d3", "extension-d3",
+        "hankel-csv", "singular-csv-no-points"])
+def test_reconstruct_refusals_exit_2(tmp_path, capsys, source, method, needs):
+    if source == "atoms":
+        atoms = tmp_path / "atoms.csv"
+        atoms.write_text("0,0\n1,0\n0,1\n")
+        source = ["--csv", str(atoms)]
+    code = run(["reconstruct", *source, "--method", method])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("georank: configuration error:")
+    assert needs in err
 
 
 def test_rank_nan_atom_is_parse_error(tmp_path, capsys):
@@ -318,16 +343,16 @@ def test_rank_grid_at_atom_column(tmp_path, monkeypatch):
 
 def test_threads_default_is_serial(monkeypatch, capsys):
     with pytest.raises(SystemExit):
-        run(["rank", "--help"])
+        run(["reconstruct", "--help"])
     assert "(default: serial)" in " ".join(capsys.readouterr().out.split())
     seen = []
-    real = cli.reconstruct_odd_local
+    real = cli.reconstruct_density
 
     def spy(ev, cfg):
         seen.append(cfg.workers)
         return real(ev, cfg)
 
-    monkeypatch.setattr(cli, "reconstruct_odd_local", spy)
+    monkeypatch.setattr(cli, "reconstruct_density", spy)
     assert run(["reconstruct", "--family", "gaussian", "--dim", "3",
                 "--method", "odd-local", "--radii", "1:1:1"]) == 0
     assert seen == [None]
@@ -358,7 +383,7 @@ def _argv(cmd, atoms, pts):
                     "12"],
         "content": ["content", "--family", "gaussian", "--dim", "3",
                     "--radius", "1"],
-    }[cmd] + ["--seed", "7"]
+    }[cmd]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -374,16 +399,21 @@ def test_identical_flags_write_identical_bytes(tmp_path, cmd, fmt):
     assert written[0] and written[0] == written[1]
 
 
-def test_singular_threads_one_and_two_write_identical_bytes(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_singular_threads_one_and_two_write_identical_bytes(tmp_path, fmt):
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
+        out = tmp_path / f"threads{threads}.{fmt}"
         assert run(["reconstruct", "--family", "gaussian", "--dim", "2",
                     "--method", "singular", "--radii", "0:1.5:0.5",
-                    "--threads", threads, "-o", str(out)]) == 0
+                    "--threads", threads, "--format", fmt,
+                    "-o", str(out)]) == 0
         written.append(out.read_bytes())
     assert written[0] == written[1]
-    assert len(written[0].splitlines()) == 5
+    if fmt == "csv":
+        assert len(written[0].splitlines()) == 5
+    else:
+        assert "workers" not in json.loads(written[0])["config"]
 
 
 def test_back_to_back_commands_match_fresh_processes(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 import georank as gr
-from georank.errors import (DimensionMismatchError, DomainError, ParseError,
+from georank.errors import (DimensionMismatchError, DomainError,
+                            NonConvergenceError, ParseError,
                             UnsupportedVariantError)
 
 FAMILIES = [("gaussian", 2), ("gaussian", 3), ("cauchy", 2), ("cauchy", 3)]
@@ -158,6 +159,13 @@ def test_rank_radial_symmetry_monte_carlo():
         ses.append(np.linalg.norm(unit.std(axis=0, ddof=1))
                    / np.sqrt(unit.shape[0]))
     assert abs(norms[0] - norms[1]) <= 3.0 * np.hypot(ses[0], ses[1])
+
+
+def test_invert_g_refuses_a_level_the_profile_never_reaches():
+    stub = gr.RadialProfile(2, "stub", g=lambda r: 0.5 * r / (1.0 + r))
+    with pytest.raises(NonConvergenceError) as info:
+        gr.invert_g(stub, 0.9)
+    assert info.value.residual == pytest.approx(0.4)
 
 
 # ---------------------------------------------------------------------------

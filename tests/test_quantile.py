@@ -69,6 +69,20 @@ def test_cauchy_d2_inversion_at_radius_one():
     assert np.allclose(x, [0.0, 1.0], atol=1e-8)
 
 
+
+def test_one_answer_at_levels_near_one():
+    # quantile, contour and theta invert g by the same rule; at this level
+    # the root lies near 2e12
+    level = 0.9999999999995
+    ev = gr.RankEvaluator(gr.RadialClosedForm("cauchy", 2))
+    x = gr.solve_quantile(ev, gr.QuantileQuery(level, np.array([1.0, 0.0])))
+    r_beta = gr.contour(ev, level).r_beta
+    assert x[0] == r_beta and x[1] == 0.0
+    assert 1.9e12 < r_beta < 2.1e12
+    assert ev.profile.g(r_beta) == pytest.approx(level, abs=1e-15)
+    assert 0.0 < gr.theta_radial_exact(ev, level) <= 1.0
+
+
 def test_roundtrip_gaussian_d2_random_queries():
     ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
     rng = np.random.default_rng(21)

@@ -164,10 +164,3 @@ def test_bessel_i1_against_scipy():
     mask = want > 0
     rel = np.abs(got[mask] - want[mask]) / want[mask]
     assert np.max(rel) <= 1e-10
-
-
-def test_dimension_parity():
-    assert sf.Dimension(3).odd and not sf.Dimension(3).even
-    assert sf.Dimension(2).even and not sf.Dimension(2).odd
-    with pytest.raises(DomainError):
-        sf.Dimension(0)
