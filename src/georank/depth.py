@@ -4,7 +4,7 @@ surface-integral identity, and probability-content re-indexing of the rank.
 The contour of order beta is the image of the quantile map over directions at
 fixed order, equivalently the level set of |R|.  For a measure with a density
 the rank Jacobian is positive definite, so contours are smooth manifolds and
-|R(t u)| is strictly increasing along rays, which the per-ray root finder
+|R(t u)| is strictly increasing along rays, which the lockstep ray solver
 exploits.
 """
 
@@ -12,14 +12,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from . import _write
 from . import specfun as sf
 from ._quadrature import sphere_rule
 from .errors import ParityError
 from .measures import RadialClosedForm, invert_g, sample
-from .rankfield import RankEvaluator
+from .rankfield import _EVAL_BLOCK, RankEvaluator
 
 _RAY_CAP = 1e9
 
@@ -89,14 +89,41 @@ def _ray_directions(d: int, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _clear_of_atoms(dirs: np.ndarray, atoms: np.ndarray,
+                    norms: np.ndarray) -> np.ndarray:
+    """dirs, with every ray that passes within 1e-9 of an atom turned by 1e-6
+    towards the next axis: the rank is discontinuous at atoms.
+
+    |z|^2 - (z, u)^2 screens the atom x ray pairs, in blocks of at most
+    _EVAL_BLOCK pairs; the few it keeps get the exact distance |z - (z, u) u|.
+    """
+    n_rays, d = dirs.shape
+    hit = np.zeros(n_rays, dtype=bool)
+    rows = max(1, _EVAL_BLOCK // n_rays)
+    for lo in range(0, len(atoms), rows):
+        z, zz = atoms[lo:lo + rows], norms[lo:lo + rows, None] ** 2
+        t = z @ dirs.T
+        a, r = np.nonzero((t > 0.0) & (zz - t * t <= 1e-12 * (1.0 + zz)))
+        dist = np.linalg.norm(z[a] - t[a, r, None] * dirs[r], axis=1)
+        hit[r[dist < 1e-9]] = True
+    out = dirs.copy()
+    for i in np.nonzero(hit)[0]:
+        out[i, (i + 1) % d] += 1e-6
+        out[i] /= np.linalg.norm(out[i])
+    return out
+
+
 def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
             tol: float = 1e-10) -> DepthContour:
     """Depth contour at level beta.
 
-    Radial measures invert g(r) = beta directly.  Otherwise each ray solves
-    |R(t u)| = beta by bracket expansion and Brent's method, with a coarse
-    scan fallback when the first expansion step overshoots a non-monotone
-    stretch.  Rays whose bracket never closes are reported as skipped.
+    Radial measures invert g(r) = beta directly.  Otherwise every ray solves
+    |R(t u)| = beta, all rays in lockstep: the bracket [lo, hi] doubles from
+    [0, 1] and Chandrupatla's method closes it.  Each step is one batch rank
+    evaluation on the rays still active.  Rays whose bracket never closes
+    are reported as skipped, and so are the rays whose first unit step is
+    not below beta while |R(0)| > beta: the origin lies outside the
+    contour, and [0, 1] brackets no crossing.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
@@ -111,48 +138,46 @@ def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
         return DepthContour(beta, "radial",
                             r_beta=float(invert_g(ev.profile, beta)))
 
-    atoms = ev.atoms()[0] if ev.mode in ("exact", "mc") else None
     dirs = _ray_directions(ev.d, n_rays)
+    if ev.mode in ("exact", "mc"):
+        dirs = _clear_of_atoms(dirs, ev.atoms()[0], ev.atom_norms)
+
+    def norm_rank(t, i):
+        """|R(t u_i)| for rays i at distances t."""
+        return np.linalg.norm(ev.rank_many(t[:, None] * dirs[i]), axis=1)
+
+    fun = lambda t, i: norm_rank(t, i) - beta
+    rays = np.arange(n_rays)
+    lo, hi = np.zeros(n_rays), np.ones(n_rays)
+    f_hi = fun(hi, rays)
+    grow = (f_hi < 0.0) & (hi < _RAY_CAP)
+    while grow.any():
+        i = rays[grow]
+        lo[i] = hi[i]
+        hi[i] *= 2.0
+        f_hi[i] = fun(hi[i], i)
+        grow = (f_hi < 0.0) & (hi < _RAY_CAP)
+    skip = f_hi < 0.0
+    # f(lo) < 0 wherever lo moved, so only a bracket [0, hi] can start above
+    # beta, and then on every such ray: it holds no sign change to solve for
+    i = rays[~skip & (lo == 0.0)]
+    if len(i) and np.linalg.norm(ev.rank(np.zeros(ev.d))) > beta:
+        skip[i] = True
     radii = np.full(n_rays, np.nan)
     achieved = np.full(n_rays, np.nan)
-    skipped = []
-    for i, u in enumerate(dirs):
-        u_use = u
-        if atoms is not None:
-            # keep rays clear of atoms (the rank is discontinuous there)
-            t_proj = atoms @ u
-            perp = atoms - np.outer(t_proj, u)
-            dist = np.linalg.norm(perp, axis=1)
-            if np.any((dist < 1e-9) & (t_proj > 0)):
-                tweak = np.zeros(ev.d)
-                tweak[(i + 1) % ev.d] = 1e-6
-                u_use = (u + tweak)
-                u_use = u_use / np.linalg.norm(u_use)
-        fun = lambda t: np.linalg.norm(ev.rank(t * u_use)) - beta
-        lo, hi = 0.0, 1.0
-        f_hi = fun(hi)
-        while f_hi < 0.0 and hi < _RAY_CAP:
-            lo, hi = hi, 2.0 * hi
-            f_hi = fun(hi)
-        if f_hi < 0.0:
-            skipped.append(i)
-            continue
-        if fun(lo) > 0.0:
-            # overshot a non-monotone stretch; scan for the first crossing
-            grid = np.linspace(0.0, hi, 256)
-            vals = np.array([fun(t) for t in grid])
-            idx = np.nonzero(vals > 0.0)[0]
-            if len(idx) == 0 or idx[0] == 0:
-                skipped.append(i)
-                continue
-            lo, hi = grid[idx[0] - 1], grid[idx[0]]
-        t_star = brentq(fun, lo, hi, xtol=min(tol, 1e-12))
-        radii[i] = t_star
-        achieved[i] = np.linalg.norm(ev.rank(t_star * u_use))
-        dirs[i] = u_use
-    ok = ~np.isnan(radii)
+    i = rays[~skip]
+    if len(i):
+        res = find_root(fun, (lo[i], hi[i]), args=(i,),
+                        tolerances={"xatol": min(tol, 1e-12),
+                                    "xrtol": 4 * np.finfo(float).eps})
+        skip[i[~res.success]] = True
+        i = i[res.success]
+        radii[i] = res.x[res.success]
+        achieved[i] = norm_rank(radii[i], i)
+    ok = ~skip
     return DepthContour(beta, "rayfan", directions=dirs[ok], radii=radii[ok],
-                        achieved=achieved[ok], skipped=skipped)
+                        achieved=achieved[ok],
+                        skipped=rays[skip].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,14 @@ class ToleranceError(GeorankError):
 
 
 class NonConvergenceError(GeorankError):
-    """Iterative solver failed to converge; carries the final residual."""
+    """Iterative solver failed to converge; carries the final residual and,
+    where the solver keeps one, the history of its iterates' objective
+    values."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, history=None):
         super().__init__(message)
         self.residual = residual
+        self.history = history
 
 
 class DegenerateSupportError(GeorankError):

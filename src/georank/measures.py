@@ -144,11 +144,17 @@ def _shaped(out, r):
     """`out` in the shape of the radius argument r; a float for a scalar r."""
     if np.ndim(r):
         return out.reshape(np.shape(r))
-    return float(out[0] if np.ndim(out) else out)
+    return float(out[0])
+
+
+def _radii(r):
+    """r as a float array of at least one dimension: a scalar radius takes
+    the array path, so it gets the same bits as in an array."""
+    return np.atleast_1d(np.asarray(r, dtype=float))
 
 
 def _piecewise(r, small_fn, large_fn, cut=_R_SMALL):
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    r_arr = _radii(r)
     out = np.empty_like(r_arr)
     m = r_arr < cut
     if np.any(m):
@@ -200,7 +206,7 @@ def _profile_gaussian_d3() -> RadialProfile:
             lambda t: -4 * phi(t) - 2 * (4 * t * phi(t) - 2 * erf(t / sq2)) / t**3)
 
     def f(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(np.exp(-0.5 * t * t) / (2 * np.pi) ** 1.5, r)
 
     return RadialProfile(3, "gaussian", g, g_prime, h, h_prime, h_second, f,
@@ -250,7 +256,7 @@ def _profile_cauchy_d3() -> RadialProfile:
             / (np.pi * t**3 * (1 + t * t) ** 2))
 
     def f(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(1.0 / (np.pi ** 2 * (1.0 + t * t) ** 2), r)
 
     return RadialProfile(3, "cauchy", g, g_prime, h, h_prime, h_second, f,
@@ -269,38 +275,38 @@ def _profile_gaussian_d2() -> RadialProfile:
     i0e, i1e = sf.bessel_i0e, sf.bessel_i1e
 
     def g(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         q = 0.25 * t * t
         return _shaped(a * t * (i0e(q) + i1e(q)), r)
 
     def g_over_r(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         q = 0.25 * t * t
         return _shaped(a * (i0e(q) + i1e(q)), r)
 
     def g_prime(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         q = 0.25 * t * t
         return _shaped(a * (i0e(q) - i1e(q)), r)
 
     def h(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(b * i0e(0.25 * t * t), r)
 
     def h_prime(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         q = 0.25 * t * t
         return _shaped(b * 0.5 * t * (i1e(q) - i0e(q)), r)
 
     def h_second(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         q = 0.25 * t * t
         d1 = 0.5 * (i1e(q) - i0e(q))
         d2 = q * (2 * i0e(q) - 2 * i1e(q) - _i1e_over_x(q))
         return _shaped(b * (d1 + d2), r)
 
     def f(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(np.exp(-0.5 * t * t) / (2 * np.pi), r)
 
     return RadialProfile(2, "gaussian", g, g_prime, h, h_prime, h_second, f,
@@ -309,32 +315,32 @@ def _profile_gaussian_d2() -> RadialProfile:
 
 def _profile_cauchy_d2() -> RadialProfile:
     def g(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(t / (1.0 + np.sqrt(1.0 + t * t)), r)
 
     def g_over_r(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(1.0 / (1.0 + np.sqrt(1.0 + t * t)), r)
 
     def g_prime(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         s = np.sqrt(1.0 + t * t)
         return _shaped(1.0 / (s * (1.0 + s)), r)
 
     def h(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(1.0 / np.sqrt(1.0 + t * t), r)
 
     def h_prime(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(-t / (1.0 + t * t) ** 1.5, r)
 
     def h_second(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped((2.0 * t * t - 1.0) / (1.0 + t * t) ** 2.5, r)
 
     def f(r):
-        t = np.asarray(r, dtype=float)
+        t = _radii(r)
         return _shaped(1.0 / (2 * np.pi * (1.0 + t * t) ** 1.5), r)
 
     return RadialProfile(2, "cauchy", g, g_prime, h, h_prime, h_second, f,

@@ -45,12 +45,21 @@ def objective(ev: RankEvaluator, q: QuantileQuery, x) -> float:
     return g - q.alpha * float(np.dot(q.u, x))
 
 
-def _atoms_collinear(atoms: np.ndarray) -> bool:
-    centered = atoms - atoms.mean(axis=0)
-    if centered.shape[0] < 3:
-        return True
-    s = np.linalg.svd(centered, compute_uv=False)
-    return s[1] <= 1e-12 * max(s[0], 1.0)
+def _newton_pass(ev: RankEvaluator, q: QuantileQuery, x: np.ndarray):
+    """objective(), ev.rank() and ev.jacobian() at x from one second-order
+    rank pass; the Jacobian is None on an atom."""
+    phi, rank, jac = ev.rank(x, second_order=True)
+    return phi - q.alpha * float(np.dot(q.u, x)), rank, jac
+
+
+def _newton_direction(J, F):
+    """-J^{-1} F, or None where J is undefined (on an atom) or singular."""
+    if J is None:
+        return None
+    try:
+        return np.linalg.solve(J, -F)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _weiszfeld_step(atoms, weights, alpha_u, x):
@@ -68,11 +77,15 @@ def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
     """Point x with |R(x) - alpha u| <= tol.
 
     Radial closed forms invert the monotone profile g by bracketed root
-    finding.  Otherwise: damped Newton on F(x) = R(x) - alpha u with the
-    analytic Jacobian and an Armijo backtracking line search on the convex
-    objective, falling back to a Weiszfeld fixed-point step whenever the
-    Newton step stalls or the Jacobian is singular.  When ``trace`` is a
-    list, the objective value of every accepted iterate is appended to it.
+    finding.  Otherwise: damped Newton on F(x) = R(x) - alpha u from the
+    coordinatewise median, with the analytic Jacobian and an Armijo
+    backtracking line search on the convex objective, falling back to a
+    Weiszfeld fixed-point step whenever the Newton step stalls or the
+    Jacobian is singular or undefined (on an atom).  One second-order rank
+    pass per trial point gives its objective, rank and Jacobian.  When
+    ``trace`` is a list, the objective value of every accepted iterate is
+    appended to it; a NonConvergenceError carries the same values as
+    ``history``.
     """
     if tol is None:
         tol = 1e-10 if ev.mode == "exact" else 1e-8
@@ -81,57 +94,51 @@ def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
             return np.zeros(ev.d)
         return invert_g(ev.profile, q.alpha) * q.u
 
-    atoms, weights = ev.atoms()
-    if _atoms_collinear(atoms):
+    if ev.atoms_collinear:
         raise DegenerateSupportError(
             "atoms lie on a single line; the quantile is not unique")
+    atoms, weights = ev.atoms()
     alpha_u = q.alpha * q.u
-    x = np.median(atoms, axis=0).astype(float)
-    fx = objective(ev, q, x)
-    if trace is not None:
-        trace.append(fx)
+    history = [] if trace is None else trace
+    start = len(history)
+    x = ev.coordinatewise_median.copy()
+    fx, rank, J = _newton_pass(ev, q, x)
+    history.append(fx)
     for _ in range(_MAX_ITERS):
-        F = ev.rank(x) - alpha_u
+        F = rank - alpha_u
         res = float(np.linalg.norm(F))
         if res <= tol:
             return x
         step = None
-        try:
-            J = ev.jacobian(x)
-            dx = np.linalg.solve(J, -F)
-            slope = float(np.dot(F, dx))
-            if np.isfinite(slope) and slope < 0:
-                t = 1.0
-                for _ in range(40):
-                    cand = x + t * dx
-                    fc = objective(ev, q, cand)
-                    if fc <= fx + _ARMIJO * t * slope:
-                        step = cand
-                        fx = fc
-                        break
-                    t *= 0.5
-        except np.linalg.LinAlgError:
-            pass
+        dx = _newton_direction(J, F)
+        slope = float(np.dot(F, dx)) if dx is not None else np.nan
+        if np.isfinite(slope) and slope < 0:
+            t = 1.0
+            for _ in range(40):
+                cand = x + t * dx
+                fc, rc, jc = _newton_pass(ev, q, cand)
+                if fc <= fx + _ARMIJO * t * slope:
+                    step, fx, rank, J = cand, fc, rc, jc
+                    break
+                t *= 0.5
         if step is None:
             cand = _weiszfeld_step(atoms, weights, alpha_u, x)
-            fc = objective(ev, q, cand)
+            fc, rc, jc = _newton_pass(ev, q, cand)
             if fc > fx + 1e-15 and np.linalg.norm(cand - x) > 1e-15:
                 # Weiszfeld never increases the objective unless it landed on
                 # an atom; nudge off and continue
                 cand = cand + 1e-9 * (np.random.default_rng(0)
                                       .standard_normal(ev.d))
-                fc = objective(ev, q, cand)
-            step = cand
-            fx = fc
+                fc, rc, jc = _newton_pass(ev, q, cand)
+            step, fx, rank, J = cand, fc, rc, jc
         x = step
-        if trace is not None:
-            trace.append(fx)
-    res = float(np.linalg.norm(ev.rank(x) - alpha_u))
+        history.append(fx)
+    res = float(np.linalg.norm(rank - alpha_u))
     if res <= tol:
         return x
     raise NonConvergenceError(
         f"quantile solver stopped after {_MAX_ITERS} iterations with "
-        f"residual {res:.3e}", residual=res)
+        f"residual {res:.3e}", residual=res, history=history[start:])
 
 
 def rank_of_quantile_roundtrip(ev: RankEvaluator, q: QuantileQuery,

@@ -99,13 +99,26 @@ def _pair_blocks(pts: np.ndarray, atoms: np.ndarray):
             yield slice(lo, lo + m_blk), slice(a_lo, a_lo + n_blk), diff, dist
 
 
+def _rank_block(diff, dist, w):
+    """One block's sum_i w_i (x - z_i)/|x - z_i|, (rows, d); the kernel
+    vanishes on the diagonal x = z_i.  Overwrites diff and dist."""
+    diff *= np.divide(1.0, dist, out=dist, where=dist > 0.0)
+    return (diff @ w).T
+
+
+def _jacobian_block(diff, dist, w):
+    """One block's sum_i w_i/|y| (I - y y^T/|y|^2), y = x - z_i, for the
+    block's single point x."""
+    y, r = diff[:, 0], dist[0]
+    wn = w / r
+    return wn.sum() * np.eye(len(y)) - (y * (wn / (r * r))) @ y.T
+
+
 def _rank_sum(pts, atoms, weights):
-    """sum_i w_i (x - z_i)/|x - z_i| at every row x of pts; the kernel
-    vanishes on the diagonal x = z_i."""
+    """sum_i w_i (x - z_i)/|x - z_i| at every row x of pts."""
     out = np.zeros_like(pts)
     for rows, cols, diff, dist in _pair_blocks(pts, atoms):
-        diff *= np.divide(1.0, dist, out=dist, where=dist > 0.0)
-        out[rows] += (diff @ weights[cols]).T
+        out[rows] += _rank_block(diff, dist, weights[cols])
     return out
 
 
@@ -250,10 +263,49 @@ class RankEvaluator:
         """|z| of every atom of atoms(), computed once."""
         return np.linalg.norm(self.atoms()[0], axis=1)
 
+    @cached_property
+    def coordinatewise_median(self) -> np.ndarray:
+        """Coordinatewise median of atoms(), computed once; read-only."""
+        out = np.median(self.atoms()[0], axis=0).astype(float)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def atoms_collinear(self) -> bool:
+        """Whether atoms() lie on one line (fewer than 3 atoms count as
+        collinear), computed once."""
+        atoms = self.atoms()[0]
+        if atoms.shape[0] < 3:
+            return True
+        s = np.linalg.svd(atoms - atoms.mean(axis=0), compute_uv=False)
+        return bool(s[1] <= 1e-12 * max(s[0], 1.0))
+
     # -- rank ---------------------------------------------------------------
 
-    def rank(self, x) -> np.ndarray:
-        return self.rank_many(np.asarray(x, dtype=float)[None, :])[0]
+    def rank(self, x, *, second_order: bool = False):
+        """R(x).  With second_order, the triple (phi, R(x), J) from one pass
+        over the atoms, with the arithmetic and order of rank_many() and
+        jacobian(): phi(x) = sum_i w_i (|x - z_i| - |z_i|), whose gradient
+        is R and whose Hessian is the rank Jacobian J.  J is None within
+        _ATOM_TOL of an atom, where it is undefined.  Atoms and Monte-Carlo
+        clouds only."""
+        if not second_order:
+            return self.rank_many(np.asarray(x, dtype=float)[None, :])[0]
+        if self.mode == "radial":
+            raise ValueError("the second-order pass needs atoms or a "
+                             "Monte-Carlo cloud")
+        x = _finite_points(x)
+        atoms, weights = self.atoms()
+        d = self.d
+        phi, rank, jac = 0.0, np.zeros((1, d)), np.zeros((d, d))
+        for rows, cols, diff, dist in _pair_blocks(x[None, :], atoms):
+            w = weights[cols]
+            phi += float((dist[0] - self.atom_norms[cols]) @ w)
+            if jac is not None:
+                jac = (None if dist.min() < _ATOM_TOL
+                       else jac + _jacobian_block(diff, dist, w))
+            rank[rows] += _rank_block(diff, dist, w)
+        return phi, rank[0], jac
 
     def rank_many(self, pts: np.ndarray) -> np.ndarray:
         pts = _finite_points(pts)
@@ -364,13 +416,10 @@ class RankEvaluator:
             return (goverr * np.eye(d)
                     + (p.g_prime(r) - goverr) * np.outer(xhat, xhat))
         atoms, weights = self.atoms()
-        # sum of w/|y| (I - y y^T/|y|^2) over the atoms, y = x - z
         out = np.zeros((d, d))
         for _, cols, diff, dist in _pair_blocks(x[None, :], atoms):
             _check_not_atom(dist)
-            y, r = diff[:, 0], dist[0]
-            wn = weights[cols] / r
-            out += wn.sum() * np.eye(d) - (y * (wn / (r * r))) @ y.T
+            out += _jacobian_block(diff, dist, weights[cols])
         return out
 
 

@@ -433,3 +433,17 @@ def test_back_to_back_commands_match_fresh_processes(tmp_path):
     for i in range(len(argvs)):
         assert ((tmp_path / f"alone{i}").read_bytes()
                 == (tmp_path / f"together{i}").read_bytes())
+
+
+def test_quantile_starting_on_an_atom(tmp_path):
+    # the coordinatewise median of these atoms is the atom at the origin
+    atoms = tmp_path / "five.csv"
+    atoms.write_text("0,0\n1,2\n-1,-2\n2,-1\n-2,1\n")
+    out = tmp_path / "q.csv"
+    code = run(["quantile", "--csv", str(atoms), "--alpha", "0.6",
+                "--direction", "1,0", "-o", str(out)])
+    assert code == 0
+    vals = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+    assert vals[0] == pytest.approx(1.9072, abs=1e-4)
+    assert vals[1] == pytest.approx(-0.3926, abs=1e-4)
+    assert vals[2] <= 1e-10

@@ -183,3 +183,100 @@ def test_contour_on_monte_carlo_smoothed_rank():
     c = gr.contour(ev, beta, n_rays=8)
     assert not c.skipped
     assert np.max(np.abs(c.radii - 1.0)) <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# contour branches: origin outside the contour, skipped rays, the atom
+# tweak, and radii against a per-ray Brent solve
+# ---------------------------------------------------------------------------
+
+def test_contour_skips_rays_when_origin_lies_outside():
+    # the cloud sits to the right of the origin, so |R(0)| > beta; a ray
+    # whose first unit step lands inside the contour closes its bracket by
+    # doubling, and every other ray is skipped.  This pins today's
+    # behaviour: such a ray may still cross the contour further out, and
+    # looking for that crossing is open on ROADMAP.md ("Contours with the
+    # origin outside")
+    rng = np.random.default_rng(41)
+    atoms = 0.4 * rng.standard_normal((300, 2)) + [1.2, 0.0]
+    ev = gr.RankEvaluator(gr.Empirical(atoms))
+    beta, n_rays = 0.5, 16
+    assert np.linalg.norm(ev.rank(np.zeros(2))) > beta
+    c = gr.contour(ev, beta, n_rays=n_rays, tol=1e-10)
+    th = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    step = np.linalg.norm(ev.rank_many(dirs), axis=1)
+    assert np.min(np.abs(step - beta)) > 1e-3          # no ray on the edge
+    assert c.skipped == np.nonzero(step >= beta)[0].tolist()
+    assert 0 < len(c.radii) < n_rays
+    np.testing.assert_array_equal(c.directions, dirs[step < beta])
+    assert np.all(c.radii > 1.0)
+    assert np.max(np.abs(c.achieved - beta)) <= 1e-10
+
+
+def test_contour_rays_past_the_cap_are_skipped(monkeypatch):
+    # doubling stops at the cap: with a cap of 2 a ray is skipped exactly
+    # when |R(2u)| is still below beta
+    monkeypatch.setattr(gr.depth, "_RAY_CAP", 2.0)
+    rng = np.random.default_rng(42)
+    atoms = rng.standard_normal((400, 2)) * [2.5, 0.4]
+    ev = gr.RankEvaluator(gr.Empirical(atoms - np.median(atoms, axis=0)))
+    beta, n_rays = 0.64, 24
+    c = gr.contour(ev, beta, n_rays=n_rays, tol=1e-10)
+    th = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    at_cap = np.linalg.norm(ev.rank_many(2.0 * dirs), axis=1)
+    assert np.min(np.abs(at_cap - beta)) > 1e-3
+    assert c.skipped == np.nonzero(at_cap < beta)[0].tolist()
+    assert 0 < len(c.skipped) < n_rays
+    assert len(c.radii) == n_rays - len(c.skipped)
+    assert np.all(c.radii <= 2.0)
+    assert np.max(np.abs(c.achieved - beta)) <= 1e-10
+
+
+def test_contour_tweaks_rays_through_an_atom():
+    # ray 0 is (1, 0) and ray 3 of 12 is (cos pi/2, 1): each passes through
+    # an atom, so it turns by 1e-6 towards the next axis; ray 6 points away
+    # from the atom on ray 0 and keeps its direction
+    rng = np.random.default_rng(43)
+    ev = gr.RankEvaluator(gr.Empirical(np.vstack(
+        [rng.standard_normal((60, 2)), [[0.7, 0.0], [0.0, 0.2]]])))
+    n_rays = 12
+    c = gr.contour(ev, 0.4, n_rays=n_rays, tol=1e-10)
+    assert not c.skipped
+    th = 2.0 * np.pi * np.arange(n_rays) / n_rays
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    want = dirs.copy()
+    for i, axis in ((0, 1), (3, 0)):
+        v = dirs[i].copy()
+        v[axis] += 1e-6
+        want[i] = v / np.linalg.norm(v)
+    np.testing.assert_array_equal(c.directions, want)
+    assert not np.array_equal(want[0], dirs[0])
+    for u, r in zip(c.directions, c.radii):
+        assert abs(np.linalg.norm(ev.rank(r * u)) - 0.4) <= 1e-10
+
+
+def _brent_radii(ev, dirs, beta, xtol):
+    """Per-ray bracket doubling and Brent's method on |R(t u)| - beta."""
+    from scipy.optimize import brentq
+    out = []
+    for u in dirs:
+        fun = lambda t: np.linalg.norm(ev.rank(t * u)) - beta
+        lo, hi = 0.0, 1.0
+        while fun(hi) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        out.append(brentq(fun, lo, hi, xtol=xtol))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d,n_rays,beta", [(2, 48, 0.5), (3, 32, 0.4)])
+def test_contour_radii_match_per_ray_brent(d, n_rays, beta):
+    rng = np.random.default_rng(44 + d)
+    atoms = rng.standard_normal((2000, d)) * [1.0, 0.6, 1.4][:d]
+    atoms[:700] += 1.2
+    ev = gr.RankEvaluator(gr.Empirical(atoms - np.median(atoms, axis=0)))
+    c = gr.contour(ev, beta, n_rays=n_rays, tol=1e-10)
+    assert not c.skipped and len(c.radii) == n_rays
+    want = _brent_radii(ev, c.directions, beta, 1e-12)
+    assert np.max(np.abs(c.radii - want)) <= 1e-12

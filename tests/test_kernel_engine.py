@@ -155,3 +155,20 @@ def test_jacobian_symmetric_psd(cloud):
     scale = np.abs(J).max()
     assert np.abs(J - J.T).max() <= 1e-12 * scale
     assert np.linalg.eigvalsh(J).min() >= -1e-12 * scale
+
+
+@_PROPERTY
+@given(clouds())
+def test_quantile_of_rank_roundtrip(cloud):
+    # off the atoms R(x) = alpha u has the single solution x, so the
+    # quantile of order |R(x)| in the direction of R(x) is x again
+    ev, x = cloud
+    assume(ev.measure.atoms.shape[0] >= 3 and not ev.atoms_collinear)
+    assume(np.min(np.linalg.norm(ev.measure.atoms - x, axis=1)) > 1e-3)
+    r = ev.rank(x)
+    alpha = float(np.linalg.norm(r))
+    assume(0.05 < alpha < 0.95)
+    q = gr.QuantileQuery(alpha, r / alpha)
+    got = gr.solve_quantile(ev, q, 1e-8)
+    assert np.linalg.norm(ev.rank(got) - r) <= 1e-8
+    assert np.linalg.norm(got - x) <= 1e-5

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import georank as gr
-from georank import rankfield
-from georank.errors import DegenerateSupportError
+from georank import quantile, rankfield
+from georank.errors import (DegenerateSupportError, DomainError,
+                            NonConvergenceError, SingularityError)
 
 FAMILIES = [("gaussian", 2), ("gaussian", 3), ("cauchy", 2), ("cauchy", 3)]
 
@@ -178,3 +179,81 @@ def test_objective_with_cached_norms_equals_per_call_norms(monkeypatch, d):
                 for _, cols, _, dist in rankfield._pair_blocks(x[None, :], a))
         assert gr.objective(ev, q, x) == g - q.alpha * float(np.dot(q.u, x))
     assert ev.atom_norms is ev.atom_norms
+
+
+# five atoms whose coordinatewise median is the atom at the origin
+FIVE = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0], [2.0, -1.0],
+                 [-2.0, 1.0]])
+
+
+def test_quantile_starting_on_an_atom_takes_a_weiszfeld_step():
+    # the Jacobian is undefined at the start, as if singular
+    ev = gr.RankEvaluator(gr.Empirical(FIVE))
+    np.testing.assert_array_equal(ev.coordinatewise_median, FIVE[0])
+    q = gr.QuantileQuery(0.6, np.array([1.0, 0.0]))
+    x = gr.solve_quantile(ev, q)
+    assert np.linalg.norm(ev.rank(x) - q.alpha * q.u) <= 1e-10
+    np.testing.assert_allclose(x, [1.9072, -0.3926], atol=1e-4)
+    # the cached start is not handed out
+    x[:] = 7.0
+    np.testing.assert_array_equal(ev.coordinatewise_median, FIVE[0])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_second_order_pass_equals_objective_rank_and_jacobian(monkeypatch,
+                                                               d):
+    # blocks of 7 pairs, so one point splits the atoms into many blocks
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 7)
+    rng = np.random.default_rng(50 + d)
+    atoms = rng.standard_normal((45, d)) * [1.0, 3.0, 0.1][:d]
+    w = rng.uniform(1.0, 2.0, 45)
+    ev = gr.RankEvaluator(gr.Empirical(atoms, w / w.sum()))
+    q = gr.QuantileQuery(0.4, _unit(rng.standard_normal(d)))
+    for x in rng.standard_normal((8, d)):
+        phi, r, J = ev.rank(x, second_order=True)
+        assert phi - q.alpha * float(np.dot(q.u, x)) == gr.objective(ev, q, x)
+        assert np.array_equal(r, ev.rank(x))
+        assert np.array_equal(J, ev.jacobian(x))
+        assert quantile._newton_pass(ev, q, x)[0] == gr.objective(ev, q, x)
+    # on an atom (in a middle block) the Jacobian is undefined
+    x = atoms[20]
+    fx, r, J = quantile._newton_pass(ev, q, x)
+    assert fx == gr.objective(ev, q, x)
+    assert np.array_equal(r, ev.rank(x))
+    assert J is None
+    with pytest.raises(SingularityError):
+        ev.jacobian(x)
+    with pytest.raises(DomainError):
+        ev.rank(np.full(d, np.nan), second_order=True)
+    radial = gr.RankEvaluator(gr.RadialClosedForm("gaussian", d))
+    with pytest.raises(ValueError, match="second-order"):
+        radial.rank(np.ones(d), second_order=True)
+
+
+def test_nonconvergence_carries_the_objective_history(monkeypatch):
+    monkeypatch.setattr(quantile, "_MAX_ITERS", 2)
+    rng = np.random.default_rng(60)
+    ev = gr.RankEvaluator(gr.Empirical(rng.standard_normal((80, 2))))
+    q = gr.QuantileQuery(0.7, _unit([1.0, 2.0]))
+    trace = [123.0]
+    with pytest.raises(NonConvergenceError) as info:
+        gr.solve_quantile(ev, q, 1e-12, trace=trace)
+    hist = info.value.history
+    assert len(hist) == 3 and hist == trace[1:]
+    assert np.all(np.diff(hist) <= 1e-14)
+    assert info.value.residual > 1e-12
+    with pytest.raises(NonConvergenceError) as again:
+        gr.solve_quantile(ev, q, 1e-12)
+    assert again.value.history == hist
+
+
+def test_start_and_collinearity_are_cached():
+    rng = np.random.default_rng(61)
+    ev = gr.RankEvaluator(gr.Empirical(rng.standard_normal((30, 3))))
+    assert ev.coordinatewise_median is ev.coordinatewise_median
+    np.testing.assert_array_equal(ev.coordinatewise_median,
+                                  np.median(ev.atoms()[0], axis=0))
+    assert ev.atoms_collinear is False
+    line = gr.RankEvaluator(gr.Empirical(np.outer([0.0, 1.0, 3.0], [1, 2])))
+    assert line.atoms_collinear is True
+    assert gr.RankEvaluator(gr.Empirical(FIVE[:2])).atoms_collinear is True
