@@ -156,8 +156,16 @@ def _parse_range(spec, what):
         a, b, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad {what} spec {spec!r}; want a:b:step") from exc
+    if not np.isfinite([a, b, step]).all():
+        raise ConfigError(f"bad {what} spec {spec!r}; want finite a, b and "
+                          "step")
     if step <= 0 or b < a:
         raise ConfigError(f"bad {what} spec {spec!r}")
+    # the length of the arange below, checked before anything is allocated
+    count = np.ceil((b + step / 2.0 - a) / step)
+    if not count <= _GRID_NODE_CAP:
+        raise BudgetError(f"{what} spec {spec!r} asks for {count:.3g} "
+                          f"values, beyond the cap of {_GRID_NODE_CAP}")
     return np.arange(a, b + step / 2.0, step)
 
 

@@ -18,7 +18,7 @@ from . import _write
 from .errors import (BudgetError, DomainError, ParseError, SingularityError,
                      StencilOverflowError, UnsupportedVariantError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
-                       radial_profile, sample)
+                       _row_norms, radial_profile, sample)
 
 _ATOM_TOL = 1e-12
 _GRID_NODE_CAP = 10_000_000
@@ -310,7 +310,7 @@ class RankEvaluator:
     def rank_many(self, pts: np.ndarray) -> np.ndarray:
         pts = _finite_points(pts)
         if self.mode == "radial":
-            r = np.linalg.norm(pts, axis=1)
+            r = _row_norms(pts)
             return self._profile.g_over_r(r)[:, None] * pts
         return _rank_sum(pts, *self.atoms())
 
@@ -394,7 +394,7 @@ class RankEvaluator:
     def divergence_many(self, pts: np.ndarray) -> np.ndarray:
         pts = _finite_points(pts)
         if self.mode == "radial":
-            return self._profile.h(np.linalg.norm(pts, axis=1))
+            return self._profile.h(_row_norms(pts))
         atoms, weights = self.atoms()
         out = np.zeros(pts.shape[0])
         for rows, cols, _, dist in _pair_blocks(pts, atoms):

@@ -327,6 +327,30 @@ def test_rank_bad_grid_spec_is_config_error(spec, capsys):
     assert "bad grid spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["0:nan:0.1", "0:1:nan", "0:inf:1",
+                                  "-inf:1:0.1", "0:1:inf"])
+def test_reconstruct_non_finite_radii_is_config_error(spec, capsys):
+    code = run(["reconstruct", "--family", "gaussian", "--dim", "3",
+                "--method", "odd-local", f"--radii={spec}"])
+    assert code == 2
+    assert "bad radii spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["0:1e12:1e-3", "0:1e308:1e-308"])
+def test_reconstruct_radii_over_cap_exits_3_without_allocating(spec,
+                                                               capsys):
+    tracemalloc.start()
+    try:
+        code = run(["reconstruct", "--family", "gaussian", "--dim", "3",
+                    "--method", "odd-local", f"--radii={spec}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "cap" in capsys.readouterr().err
+    assert peak < 1_000_000
+
+
 def test_rank_grid_at_atom_column(tmp_path, monkeypatch):
     # blocks of two points, so the atoms fall in different blocks
     monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 4)

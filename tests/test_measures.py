@@ -13,6 +13,7 @@ import georank as gr
 from georank.errors import (DimensionMismatchError, DomainError,
                             NonConvergenceError, ParseError,
                             UnsupportedVariantError)
+from georank.measures import _row_norms
 
 FAMILIES = [("gaussian", 2), ("gaussian", 3), ("cauchy", 2), ("cauchy", 3)]
 
@@ -125,6 +126,44 @@ def test_profile_series_joins_closed_form(fam, d):
     for fn in (p.g, p.g_prime, p.h, p.h_prime, p.h_second, p.g_over_r):
         a, b = fn(below), fn(above)
         assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
+
+
+PROFILE_FUNCS = ("g", "g_prime", "h", "h_prime", "h_second", "f", "g_over_r")
+
+
+@pytest.mark.parametrize("fam,d", FAMILIES)
+def test_profile_unmasked_path_matches_masked(fam, d):
+    # an array with no radius below the series cut skips the mask; its
+    # values must equal those the masked path gives the same radii inside
+    # a mixed array, and the scalar evaluations, bit for bit
+    prof = gr.radial_profile(gr.RadialClosedForm(fam, d))
+    small = np.array([0.0, 1e-9, 3e-5, 2e-4, 9.9e-4])
+    large = np.array([1e-3, 0.0105, 0.37, 1.0, 2.5, 17.0, 400.0])
+    mixed = np.concatenate([large[:3], small, large[3:]])
+    is_small = mixed < 1e-3
+    for name in PROFILE_FUNCS:
+        fn = getattr(prof, name)
+        got = fn(mixed)
+        np.testing.assert_array_equal(fn(mixed[~is_small]), got[~is_small])
+        np.testing.assert_array_equal(fn(mixed[is_small]), got[is_small])
+        np.testing.assert_array_equal([fn(r) for r in mixed], got)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_row_norms_equal_numpy_norm(d):
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((500, d))
+    pts[::5, 0] = -0.0
+    pts[1::5, -1] = 1e-160       # its square underflows to 0
+    pts[2::5, 0] = 1e200         # its square overflows to inf
+    pts[3::5] = 1e-160
+    pts[4, :] = -0.0
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.linalg.norm(pts, axis=1)
+        got = _row_norms(pts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.isinf(got[2::5]).all() and (got[4] == 0.0)
 
 
 @pytest.mark.parametrize("fam,d", FAMILIES)
