@@ -59,7 +59,7 @@ _FLAGS = {
          "odd-local | singular | hankel | extension"),
         ("--radii", str, None, "evaluation radii a:b:step"),
         ("--points", str, None,
-         "CSV of evaluation points (singular/extension, general measures)"),
+         "CSV of evaluation points (extension)"),
         ("--reference", bool, False,
          "add closed-form density and error columns"),
         ("--eta", float, 1e-3, "inner cutoff of the singular integral"),
@@ -68,7 +68,6 @@ _FLAGS = {
         ("--nodes", int, 61, "grid nodes per axis (odd-local grid path)"),
         ("--box", str, "-3:3", "grid box lo:hi (odd-local grid path)"),
         ("--height", float, 0.01, "extension height t"),
-        ("--threads", int, None, "worker-pool cap (default: serial)"),
     ],
     "contour": _COMMON_FLAGS + [
         ("--beta", float, None, "contour level in [0,1)"),
@@ -295,7 +294,7 @@ def cmd_reconstruct(args):
             method=args.method, eta=args.eta, r_max=args.rmax,
             fd_order=args.fd_order, grid_box=(float(box[0]), float(box[1])),
             grid_nodes=args.nodes, extension_height=args.height,
-            radii=radii, points=points, workers=args.threads)
+            radii=radii, points=points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rep = reconstruct_density(ev, cfg)

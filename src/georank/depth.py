@@ -19,7 +19,7 @@ from . import specfun as sf
 from ._quadrature import sphere_rule
 from .errors import ParityError
 from .measures import RadialClosedForm, invert_g, sample
-from .rankfield import _EVAL_BLOCK, RankEvaluator
+from .rankfield import _EVAL_BLOCK, RankEvaluator, _neg_laplacian
 
 _RAY_CAP = 1e9
 
@@ -216,13 +216,7 @@ def probability_content_surface(ev: RankEvaluator, radius: float,
     if path != "grid":
         raise ValueError("path must be 'analytic' or 'grid'")
     omega, w_ang = sphere_rule(3, n_polar, n_azimuth)
-    nodes = R * omega
-    lap = -2.0 * d * ev.rank_many(nodes)
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = fd_step
-        lap += ev.rank_many(nodes + e) + ev.rank_many(nodes - e)
-    neg_lap = -lap / fd_step ** 2                     # (-Delta) R per node
+    neg_lap = _neg_laplacian(ev.rank_many, R * omega, fd_step)
     flux = np.einsum("nk,nk->n", neg_lap, omega)
     return float(gd * R * R * np.dot(flux, w_ang))
 

@@ -532,3 +532,17 @@ def fd_divergence(field: VectorGridField, order: int = 2) -> VectorGridField:
 def fd_laplacian(field: VectorGridField, order: int = 2) -> VectorGridField:
     """Laplacian (sum of pure second differences); uniform crop per axis."""
     return _axis_sum(field, lambda k: field.values, 2, order)
+
+
+def _neg_laplacian(fn, pts: np.ndarray, h: float) -> np.ndarray:
+    """(-Delta) fn at scattered rows of pts (m, d) by the 2d+1-point second
+    difference of step h, from one call of fn on every shifted copy of pts.
+    fn maps (k, d) rows to (k,) or (k, c) values."""
+    d = pts.shape[1]
+    e = h * np.eye(d)
+    shifted = [pts] + [q for k in range(d) for q in (pts + e[k], pts - e[k])]
+    f0, *nbrs = np.split(fn(np.concatenate(shifted)), 2 * d + 1)
+    lap = -2.0 * d * f0
+    for plus, minus in zip(nbrs[::2], nbrs[1::2]):
+        lap += plus + minus
+    return -lap / h ** 2

@@ -6,7 +6,8 @@ Laplacian, realized three interchangeable ways:
 
 * ``singular``  - pointwise singular integral with the c_{d,1/2} constant,
   symmetrized second differences near the singularity, and an analytic tail
-  correction beyond the truncation radius;
+  correction beyond the truncation radius, for every output point in one
+  blocked pass over the rings of the radial rule;
 * ``hankel``    - order-zero Hankel transform route for isotropic fields
   (forward transform of the divergence profile, multiply by |xi|, transform
   back, using that the isotropic Fourier transform is an involution); the
@@ -20,9 +21,13 @@ Laplacian, realized three interchangeable ways:
   the boundary limit of -d/dt of the extension, evaluated at small heights t
   via the Poisson kernel and Richardson-extrapolated in t.  For an empirical
   measure this is exactly a Poisson-kernel density estimate with bandwidth t.
+
+An empirical measure has no density: ``singular`` and the grid path of
+``odd-local`` refuse it with ConfigError, and in odd d
+``verify_identity_on_test_function`` checks the identity for it weakly.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 from scipy.special import j0
@@ -37,8 +42,8 @@ from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
                        _row_norms, density as measure_density,
                        radial_profile)
 from .rankfield import (_EVAL_BLOCK, RankEvaluator, VectorGridField,
-                        _pair_blocks, _rank_sum, fd_divergence, fd_laplacian,
-                        sample_grid)
+                        _neg_laplacian, _pair_blocks, _rank_sum,
+                        fd_divergence, fd_laplacian, sample_grid)
 
 _METHODS = ("odd-local", "singular", "hankel", "extension")
 
@@ -61,7 +66,6 @@ class ReconstructionConfig:
     check_refinement: bool = True
     coarse_check: bool = True      # odd-local grid: two-resolution estimate
     force_grid: bool = False       # odd-local: grid path even for radial
-    workers: int = None            # worker-pool cap for per-point loops
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -76,10 +80,7 @@ class ReconstructionConfig:
             raise ValueError("extension_height must lie in (0, 0.5]")
 
     def echo(self) -> dict:
-        """The settings that shape the numbers; the pool size never does."""
-        out = dict(self.__dict__)
-        del out["workers"]
-        return out
+        return dict(self.__dict__)
 
 
 @dataclass
@@ -172,6 +173,13 @@ def _curve_negativity_mass(radii, f_hat, d):
 # Odd dimension: local pipeline
 # ---------------------------------------------------------------------------
 
+def _refuse_atoms(ev, route, instead):
+    """ConfigError for an atomic measure, which has no density."""
+    if isinstance(ev.measure, Empirical):
+        raise ConfigError(f"the {route} route evaluates a density pointwise, "
+                          f"and an atomic measure has none; use {instead}")
+
+
 def _odd_local_radial_curve(prof, radii):
     gd = sf.gamma_d(3)
     r = np.asarray(radii, dtype=float)
@@ -223,6 +231,9 @@ def reconstruct_odd_local(ev: RankEvaluator, cfg: ReconstructionConfig
                                     f_hat, radii=radii, f_reference=f_ref,
                                     diagnostics=diag)
 
+    _refuse_atoms(ev, "odd-local grid", "poisson_smooth, a Poisson KDE with"
+                  " an explicit bandwidth, or the weak form in "
+                  "verify_identity_on_test_function")
     fine = _grid_reconstruct_odd(ev, cfg.grid_box, cfg.grid_nodes,
                                  cfg.fd_order)
     diag = {}
@@ -258,9 +269,9 @@ def reconstruct_odd_local(ev: RankEvaluator, cfg: ReconstructionConfig
 # ---------------------------------------------------------------------------
 
 def half_laplacian_singular(u, d: int, x, cfg: ReconstructionConfig,
-                            tail_coef: float = 0.0,
-                            tail_power: int = None) -> float:
-    """Pointwise half-Laplacian of a scalar field u at x.
+                            tail_coef: float = 0.0, tail_power: int = None):
+    """Half-Laplacian of a scalar field u at the rows of x, (m, d), or at
+    one point x, (d,), for which it returns a float.
 
     c_{d,1/2} * [near + far + tail] where near integrates the angularly
     symmetrized difference over eta < |y| < 1 (the full-sphere angular
@@ -268,38 +279,50 @@ def half_laplacian_singular(u, d: int, x, cfg: ReconstructionConfig,
     integrand), far covers 1 < |y| < r_max, and the tail uses the caller's
     asymptote u(z) ~ tail_coef / |z|^tail_power beyond r_max.
 
-    ``u`` maps an (m, d) array of points to (m,) values.
+    ``u`` maps an (m, d) array of points to (m,) values.  The radial rule
+    is 48 Gauss-Legendre nodes on [eta, 1], then 24 per geometric segment
+    out to r_max; u sees every ring of every point in calls of at most
+    _EVAL_BLOCK points, or of one ring where a ring alone is larger.
     """
     x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
     if tail_power is None:
         tail_power = d - 1
     if d == 2:
         omega, w_ang = circle_rule(cfg.n_theta)
     else:
         omega, w_ang = sphere_rule(d, cfg.n_polar, cfg.n_theta)
-    ux = float(u(x[None, :])[0])
+    rn, rw = np.concatenate([gl_nodes(cfg.eta, 1.0, 48), gl_segments(
+        geometric_edges(1.0, cfg.r_max), 24)], axis=1)
+    n_rings = len(rn)
+    ux = u(pts)
 
-    def ring_sums(r_nodes):
-        pts = (x[None, None, :] + r_nodes[:, None, None] * omega[None, :, :])
-        uz = u(pts.reshape(-1, d)).reshape(len(r_nodes), -1)
-        return (ux - uz) @ w_ang
-
-    total = 0.0
-    rn, rw = gl_nodes(cfg.eta, 1.0, 48)
-    total += float(np.sum(rw * ring_sums(rn) / rn ** 2))
-    edges = geometric_edges(1.0, cfg.r_max)
-    for a, b in zip(edges[:-1], edges[1:]):
-        rn, rw = gl_nodes(a, b, 24)
-        total += float(np.sum(rw * ring_sums(rn) / rn ** 2))
+    # rows are (point, ring) pairs, ring index fastest
+    rings = np.empty(len(pts) * n_rings)
+    step = max(1, _EVAL_BLOCK // len(omega))
+    for lo in range(0, len(rings), step):
+        i, k = np.divmod(np.arange(lo, min(lo + step, len(rings))), n_rings)
+        z = pts[i, None, :] + rn[k, None, None] * omega[None, :, :]
+        uz = u(z.reshape(-1, d)).reshape(len(i), -1)
+        rings[lo:lo + len(i)] = (ux[i, None] - uz) @ w_ang
+    terms = rings.reshape(len(pts), n_rings)
+    terms *= rw
+    terms /= rn ** 2
+    total = np.zeros(len(pts))
+    for seg in np.split(terms, range(48, n_rings, 24), axis=1):
+        total += np.sum(seg, axis=1)         # segment by segment
     # tail beyond r_max against the declared asymptote
     S = _sphere_area(d)
     R = cfg.r_max
     p = tail_power
     total += S * (ux / R - tail_coef / ((p + 1) * R ** (p + 1)))
     if d == 2 and p == 1:
-        # next term of the angular average of 1/|x+y|
-        total += -2.0 * np.pi * tail_coef * float(np.dot(x, x)) / (16.0 * R ** 4)
-    return sf.c_ds(d, 0.5) * total
+        # next term of the angular average of 1/|x+y|; x.x by np.dot per
+        # point, whose bits a batched row sum need not reproduce
+        xx = np.array([np.dot(q, q) for q in pts])
+        total += -2.0 * np.pi * tail_coef * xx / (16.0 * R ** 4)
+    out = sf.c_ds(d, 0.5) * total
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def _scalar_u_and_tail(ev: RankEvaluator, cfg: ReconstructionConfig):
@@ -307,24 +330,10 @@ def _scalar_u_and_tail(ev: RankEvaluator, cfg: ReconstructionConfig):
     far-field coefficient A with u(z) ~ A / |z|^{d-1}."""
     d = ev.d
     gd = sf.gamma_d(d)
-    if d == 2:
-        ufunc = lambda pts: gd * ev.divergence_many(pts)
-    else:
-        m = (d - 2) // 2
-        h = cfg.fd_step
-
-        def lap_rec(pts, k):
-            if k == 0:
-                return ev.divergence_many(pts)
-            out = 2.0 * d * lap_rec(pts, k - 1)
-            for axis in range(d):
-                e = np.zeros(d)
-                e[axis] = h
-                out -= lap_rec(pts + e, k - 1)
-                out -= lap_rec(pts - e, k - 1)
-            return out / (h * h)
-
-        ufunc = lambda pts: gd * lap_rec(np.asarray(pts, dtype=float), m)
+    field = ev.divergence_many       # then (-Delta) of it, (d-2)/2 times
+    for _ in range((d - 2) // 2):
+        field = lambda pts, f=field: _neg_laplacian(f, pts, cfg.fd_step)
+    ufunc = lambda pts: gd * field(pts)
     tail = gd * (d - 1) * sf.lambda_dl(d, (d - 2) // 2)
     return ufunc, tail
 
@@ -336,6 +345,8 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
     if d % 2 == 1:
         raise ParityError("singular-integral reconstruction requires even "
                           f"d, got d={d}")
+    _refuse_atoms(ev, "singular", "the extension method, a Poisson KDE with"
+                  " the explicit bandwidth extension_height (--height)")
     ufunc, tail = _scalar_u_and_tail(ev, cfg)
 
     radial = ev.mode == "radial"
@@ -351,35 +362,19 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
         pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
         radii = None
 
-    def _map(fn, items):
-        # per-point work is independent; assembling results in point order
-        # keeps the output bitwise deterministic regardless of the pool size
-        if cfg.workers and cfg.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                return list(pool.map(fn, items))
-        return [fn(p) for p in items]
-
-    f_hat = np.array(_map(
-        lambda p: half_laplacian_singular(ufunc, d, p, cfg, tail), pts))
+    f_hat = half_laplacian_singular(ufunc, d, pts, cfg, tail)
     diag = {}
     if cfg.check_refinement:
-        fine_cfg = ReconstructionConfig(
-            method=cfg.method, eta=cfg.eta / 2, r_max=2 * cfg.r_max,
-            fd_order=cfg.fd_order, n_theta=cfg.n_theta, n_polar=cfg.n_polar,
-            fd_step=cfg.fd_step, tolerance=cfg.tolerance,
-            check_refinement=False)
-        f_ref2 = np.array(_map(
-            lambda p: half_laplacian_singular(ufunc, d, p, fine_cfg, tail),
-            pts))
-        delta = float(np.max(np.abs(f_ref2 - f_hat)))
+        fine = replace(cfg, eta=cfg.eta / 2, r_max=2 * cfg.r_max,
+                       check_refinement=False)
+        delta = float(np.max(np.abs(
+            half_laplacian_singular(ufunc, d, pts, fine, tail) - f_hat)))
         diag["refinement_delta"] = delta
         if delta > cfg.tolerance:
             raise ToleranceError(
                 f"refining (eta, r_max) moved the answer by {delta:.3e}, "
                 f"beyond the {cfg.tolerance:.3e} tolerance")
 
-    f_ref = None
     if radial:
         f_ref = ev.profile.f(radii)
         diag["sup_rel_error"] = float(np.max(np.abs(f_hat - f_ref))
@@ -778,17 +773,14 @@ def verify_identity_on_test_function(psi: PolynomialBump, ev: RankEvaluator,
         rhs = _pairing_d1(ev, psi)
         xn, wn = gl_nodes(psi.center[0] - psi.radius,
                           psi.center[0] + psi.radius, 256)
-        fx = np.array([measure_density(ev.measure, np.array([t]))
-                       for t in xn])
-        lhs = float(np.sum(wn * fx * psi.value(xn[:, None])))
+        lhs = float(np.sum(wn * measure_density(ev.measure, xn[:, None])
+                           * psi.value(xn[:, None])))
         return abs(lhs - rhs)
     omega, w_ang = sphere_rule(3, 32, 64)
     rn, rw = gl_nodes(0.0, psi.radius, 48)
     pts = psi.center[None, None, :] + rn[:, None, None] * omega[None, :, :]
     flat = pts.reshape(-1, 3)
-    fx = np.array([measure_density(ev.measure, p)
-                   for p in flat]).reshape(len(rn), -1)
-    vals = psi.value(flat).reshape(len(rn), -1)
-    lhs = float(np.sum(rw * rn ** 2 * ((fx * vals) @ w_ang)))
+    fx = measure_density(ev.measure, flat) * psi.value(flat)
+    lhs = float(np.sum(rw * rn ** 2 * (fx.reshape(len(rn), -1) @ w_ang)))
     rhs = _pairing_d3_field(ev.rank_many, psi)
     return abs(lhs - rhs)

@@ -201,8 +201,7 @@ def test_help_documents_every_flag(capsys):
         for opt in opts:
             assert opt in help_text, f"{name}: {opt} undocumented"
         # no flag that no code reads
-        assert not opts & {"--mc-budget", "--seed"}, name
-        assert ("--threads" in opts) == (name == "reconstruct"), name
+        assert not opts & {"--mc-budget", "--seed", "--threads"}, name
 
 
 def test_rank_grid_output(tmp_path):
@@ -227,33 +226,34 @@ def test_rank_csv_roundtrips_through_table_parser(tmp_path):
     assert np.array_equal(again, data[:, 2:4])
 
 
-def test_reconstruct_empirical_singular_at_points(tmp_path):
+def test_reconstruct_empirical_singular_at_points(tmp_path, capsys):
+    # an atomic measure has no density to evaluate pointwise: refused before
+    # any work, off the atoms and on one alike
     atoms = tmp_path / "atoms.csv"
     rng = np.random.default_rng(7)
     atoms.write_text("\n".join(",".join("%.17g" % v for v in row)
                                for row in rng.standard_normal((50, 2))))
+    on_atom = tmp_path / "two.csv"
+    on_atom.write_text("0,0\n1,0\n")
     pts = tmp_path / "pts.csv"
-    pts.write_text("0.5,0.5\n2,0\n")
+    pts.write_text("0.5,0.5\n2,0\n0,0\n")
     out = tmp_path / "fhat.csv"
-    code = run(["reconstruct", "--csv", str(atoms), "--method", "singular",
-                "--points", str(pts), "-o", str(out)])
-    assert code == 0
-    names, data = cli.load_table(out)
-    assert names == ["x1", "x2", "f_hat"]
-    assert data.shape == (2, 3)
-    assert np.all(np.isfinite(data))
+    for src in (atoms, on_atom):
+        code = run(["reconstruct", "--csv", str(src), "--method", "singular",
+                    "--points", str(pts), "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "extension" in err and "--height" in err
+    assert not out.exists()
 
 
-def test_reconstruct_numeric_failure_exit_3(tmp_path, capsys):
-    # evaluation point sits on an atom: the intermediate scalar field is
-    # singular there
-    atoms = tmp_path / "atoms.csv"
-    atoms.write_text("0,0\n1,0\n")
-    pts = tmp_path / "pts.csv"
-    pts.write_text("0,0\n")
-    code = run(["reconstruct", "--csv", str(atoms), "--method", "singular",
-                "--points", str(pts)])
+def test_reconstruct_numeric_failure_exit_3(capsys):
+    # an inner cutoff this coarse moves the answer under refinement by far
+    # more than the tolerance
+    code = run(["reconstruct", "--family", "gaussian", "--dim", "2",
+                "--method", "singular", "--radii", "0:1:0.5", "--eta", "0.9"])
     assert code == 3
+    assert "refining (eta, r_max)" in capsys.readouterr().err
 
 
 def test_reconstruct_hankel_requires_radial(tmp_path):
@@ -269,13 +269,15 @@ def test_reconstruct_hankel_requires_radial(tmp_path):
     (["--family", "cauchy", "--dim", "3"], "hankel", "d = 2"),
     (["--family", "gaussian", "--dim", "3"], "extension", "even-d"),
     ("atoms", "hankel", "closed-form radial"),
-    ("atoms", "singular", "--points"),
+    ("atoms", "singular", "extension"),
+    ("atoms-d3", "odd-local", "verify_identity_on_test_function"),
 ], ids=["odd-local-d2", "singular-d3", "hankel-d3", "extension-d3",
-        "hankel-csv", "singular-csv-no-points"])
+        "hankel-csv", "singular-csv-no-points", "odd-local-grid-csv"])
 def test_reconstruct_refusals_exit_2(tmp_path, capsys, source, method, needs):
-    if source == "atoms":
+    if source in ("atoms", "atoms-d3"):
         atoms = tmp_path / "atoms.csv"
-        atoms.write_text("0,0\n1,0\n0,1\n")
+        atoms.write_text("0,0\n1,0\n0,1\n" if source == "atoms"
+                         else "0,0,0\n1,0,0\n0,1,0\n0,0,1\n")
         source = ["--csv", str(atoms)]
     code = run(["reconstruct", *source, "--method", method])
     assert code == 2
@@ -365,21 +367,12 @@ def test_rank_grid_at_atom_column(tmp_path, monkeypatch):
     assert flagged.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
-def test_threads_default_is_serial(monkeypatch, capsys):
-    with pytest.raises(SystemExit):
-        run(["reconstruct", "--help"])
-    assert "(default: serial)" in " ".join(capsys.readouterr().out.split())
-    seen = []
-    real = cli.reconstruct_density
-
-    def spy(ev, cfg):
-        seen.append(cfg.workers)
-        return real(ev, cfg)
-
-    monkeypatch.setattr(cli, "reconstruct_density", spy)
-    assert run(["reconstruct", "--family", "gaussian", "--dim", "3",
-                "--method", "odd-local", "--radii", "1:1:1"]) == 0
-    assert seen == [None]
+def test_reconstruct_threads_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["reconstruct", "--family", "gaussian", "--dim", "2",
+             "--method", "singular", "--radii", "0:1:0.5", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +417,13 @@ def test_identical_flags_write_identical_bytes(tmp_path, cmd, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_singular_threads_one_and_two_write_identical_bytes(tmp_path, fmt):
+def test_singular_same_flags_write_identical_bytes(tmp_path, fmt):
     written = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.{fmt}"
+    for k in range(2):
+        out = tmp_path / f"{k}.{fmt}"
         assert run(["reconstruct", "--family", "gaussian", "--dim", "2",
                     "--method", "singular", "--radii", "0:1.5:0.5",
-                    "--threads", threads, "--format", fmt,
-                    "-o", str(out)]) == 0
+                    "--format", fmt, "-o", str(out)]) == 0
         written.append(out.read_bytes())
     assert written[0] == written[1]
     if fmt == "csv":

@@ -7,7 +7,8 @@ import pytest
 import georank as gr
 from georank.errors import (BudgetError, DomainError, SingularityError,
                             StencilOverflowError)
-from georank.rankfield import kernel_derivative_terms, _eval_terms
+from georank.rankfield import (kernel_derivative_terms, _eval_terms,
+                              _neg_laplacian)
 
 
 def _ev_empirical(atoms, weights=None):
@@ -371,3 +372,32 @@ def test_non_finite_points_rejected(mode, method, bad):
     with pytest.raises(DomainError, match="finite"):
         _METHODS[method](ev, np.array([0.2, bad]))
     _METHODS[method](ev, np.array([0.2, 0.7]))     # finite points still work
+
+
+# ---------------------------------------------------------------------------
+# scattered-point Laplacian
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fam", ["gaussian", "cauchy"])
+def test_neg_laplacian_matches_per_axis_stencil(fam):
+    # one call on all 2d+1 shifted copies, summed in the per-axis order
+    ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 3))
+    pts = np.vstack([np.zeros((1, 3)),
+                     np.random.default_rng(13).standard_normal((40, 3))])
+    h = 0.05
+    lap = -2.0 * 3 * ev.rank_many(pts)
+    for axis in range(3):
+        e = np.zeros(3)
+        e[axis] = h
+        lap += ev.rank_many(pts + e) + ev.rank_many(pts - e)
+    calls = []
+    got = _neg_laplacian(lambda q: calls.append(len(q)) or ev.rank_many(q),
+                         pts, h)
+    assert calls == [7 * len(pts)]
+    assert np.array_equal(got, -lap / h ** 2)
+
+
+def test_neg_laplacian_of_quadratic_is_exact():
+    pts = np.random.default_rng(14).standard_normal((10, 4))
+    got = _neg_laplacian(lambda q: (q * q).sum(axis=1), pts, 0.1)
+    np.testing.assert_allclose(got, -8.0, rtol=1e-12)

@@ -2,6 +2,7 @@
 harmonic extension, and the weak-form identity on test functions."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy.integrate import quad
 import georank as gr
 from georank import reconstruct
 from georank._quadrature import bessel_j0_integral
-from georank.errors import DecayError, ParityError
+from georank.errors import (ConfigError, DecayError, ParityError,
+                            ToleranceError)
 
 CFG = gr.ReconstructionConfig
 
@@ -58,14 +60,13 @@ def test_odd_local_grid_converges_second_order():
     assert rep.diagnostics["negativity_mass"] <= 1e-2
 
 
-def test_odd_local_grid_empirical_runs():
+def test_odd_local_grid_refuses_empirical():
+    # an atom cloud has no density: its pointwise grid values never settle
     rng = np.random.default_rng(6)
     ev = gr.RankEvaluator(gr.Empirical(rng.standard_normal((200, 3))))
-    rep = gr.reconstruct_odd_local(ev, CFG(grid_box=(-1.0, 1.0),
-                                           grid_nodes=15,
-                                           coarse_check=False))
-    assert rep.kind == "grid"
-    assert np.all(np.isfinite(rep.f_hat))
+    with pytest.raises(ConfigError, match="poisson_smooth"):
+        gr.reconstruct_odd_local(ev, CFG(grid_box=(-1.0, 1.0),
+                                         grid_nodes=15, coarse_check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,96 @@ def test_even_singular_parity_error():
     ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3))
     with pytest.raises(ParityError):
         gr.reconstruct_even_singular(ev, CFG(method="singular"))
+
+
+def test_even_singular_refuses_empirical():
+    rng = np.random.default_rng(8)
+    ev = gr.RankEvaluator(gr.Empirical(rng.standard_normal((30, 2))))
+    with pytest.raises(ConfigError, match="extension method"):
+        gr.reconstruct_even_singular(
+            ev, CFG(method="singular", points=np.array([[0.2, 0.1]])))
+
+
+def _half_laplacian_per_point(u, x, cfg, tail_coef):
+    """The d = 2 singular integral at one point, one u call per point and
+    per radial segment: the arithmetic the batched pass must reproduce."""
+    omega, w_ang = gr.reconstruct.circle_rule(cfg.n_theta)
+    ux = float(u(x[None, :])[0])
+
+    def ring_sums(r_nodes):
+        pts = x[None, None, :] + r_nodes[:, None, None] * omega[None, :, :]
+        uz = u(pts.reshape(-1, 2)).reshape(len(r_nodes), -1)
+        return (ux - uz) @ w_ang
+
+    rn, rw = gr.reconstruct.gl_nodes(cfg.eta, 1.0, 48)
+    total = float(np.sum(rw * ring_sums(rn) / rn ** 2))
+    edges = gr.reconstruct.geometric_edges(1.0, cfg.r_max)
+    for a, b in zip(edges[:-1], edges[1:]):
+        rn, rw = gr.reconstruct.gl_nodes(a, b, 24)
+        total += float(np.sum(rw * ring_sums(rn) / rn ** 2))
+    R = cfg.r_max
+    total += 2.0 * np.pi * (ux / R - tail_coef / (2 * R ** 2))
+    total += -2.0 * np.pi * tail_coef * float(np.dot(x, x)) / (16.0 * R ** 4)
+    return gr.c_ds(2, 0.5) * total
+
+
+@pytest.mark.parametrize("block", [reconstruct._EVAL_BLOCK, 40 * 64, 4 * 64])
+@pytest.mark.parametrize("fam", ["gaussian", "cauchy"])
+def test_singular_batch_equals_per_point_reference(fam, block, monkeypatch):
+    # calls of 512 rings (the default), of 40, which split points and radial
+    # segments, and of 4; whole groups of four rows, as in the per-segment
+    # calls of 48 and 24 rings, keep the row grouping of BLAS matrix-vector
+    # products and with it every bit
+    monkeypatch.setattr(reconstruct, "_EVAL_BLOCK", block)
+    ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
+    radii = np.array([0.0, 0.3, 1.0, 1.75])
+    pts = np.column_stack([radii, np.zeros(4)])
+    ufunc, tail = reconstruct._scalar_u_and_tail(ev, CFG(method="singular"))
+    for check in (False, True):
+        cfg = CFG(method="singular", radii=radii, check_refinement=check)
+        rep = gr.reconstruct_even_singular(ev, cfg)
+        want = [_half_laplacian_per_point(ufunc, p, cfg, tail) for p in pts]
+        assert np.array_equal(rep.f_hat, want)
+    fine = CFG(method="singular", eta=5e-4, r_max=100.0)
+    want_fine = [_half_laplacian_per_point(ufunc, p, fine, tail) for p in pts]
+    assert rep.diagnostics["refinement_delta"] == np.max(
+        np.abs(np.subtract(want_fine, want)))
+    rng = np.random.default_rng(11)
+    cloud = np.vstack([np.zeros((1, 2)), rng.standard_normal((6, 2))])
+    got = gr.half_laplacian_singular(ufunc, 2, cloud, fine, tail)
+    assert np.array_equal(got, [_half_laplacian_per_point(ufunc, p, fine, tail)
+                                for p in cloud])
+    one = gr.half_laplacian_singular(ufunc, 2, cloud[3], fine, tail)
+    assert isinstance(one, float) and one == got[3]
+
+
+def test_singular_ring_larger_than_block(monkeypatch):
+    # one ring per call when a ring alone exceeds the block
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    ufunc, tail = reconstruct._scalar_u_and_tail(ev, CFG(method="singular"))
+    cloud = np.random.default_rng(12).standard_normal((3, 2))
+    cfg = CFG(method="singular")
+    want = gr.half_laplacian_singular(ufunc, 2, cloud, cfg, tail)
+    sizes = []
+    monkeypatch.setattr(reconstruct, "_EVAL_BLOCK", 10)
+    got = gr.half_laplacian_singular(
+        lambda q: sizes.append(len(q)) or ufunc(q), 2, cloud, cfg, tail)
+    assert set(sizes[1:]) == {cfg.n_theta}
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_singular_many_points_in_bounded_memory():
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    cfg = CFG(method="singular", radii=np.linspace(0.0, 3.0, 2000),
+              check_refinement=False)
+    tracemalloc.start()
+    try:
+        rep = gr.reconstruct_even_singular(ev, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+    assert rep.diagnostics["sup_rel_error"] <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +507,17 @@ def test_identity_residual_shrinks_under_quadrature_refinement():
     assert fine <= 1e-6
 
 
+def test_identity_on_a_density_in_one_batched_call():
+    # one density call over all 98 304 quadrature nodes gives the residual
+    # that one call per node gave
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3))
+    psi = gr.PolynomialBump([0.0, 0.0, 0.0], 1.0)
+    t0 = time.perf_counter()
+    res = gr.verify_identity_on_test_function(psi, ev)
+    assert time.perf_counter() - t0 < 1.0
+    assert res == 1.97758476261356e-16
+
+
 def test_identity_quadrature_budget_error():
     from georank.errors import BudgetError
     ev = gr.RankEvaluator(gr.Empirical(np.array([[0.25, -0.1, 0.3]])))
@@ -425,12 +527,14 @@ def test_identity_quadrature_budget_error():
 
 
 def test_even_singular_tolerance_error_when_unattainable():
-    from georank.errors import ToleranceError
-    # an atom cloud has no density: the pointwise reconstruction does not
-    # settle under (eta, r_max) refinement at a harsh tolerance
-    rng = np.random.default_rng(8)
-    ev = gr.RankEvaluator(gr.Empirical(rng.standard_normal((30, 2))))
-    cfg = CFG(method="singular", points=np.array([[0.2, 0.1]]),
-              tolerance=1e-9)
-    with pytest.raises(ToleranceError):
-        gr.reconstruct_even_singular(ev, cfg)
+    # a tolerance below what (eta, r_max) refinement moves the answer by
+    radii = np.array([0.0, 0.7])
+    for fam in ("gaussian", "cauchy"):
+        ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
+        delta = gr.reconstruct_even_singular(
+            ev, CFG(method="singular", radii=radii)).diagnostics[
+                "refinement_delta"]
+        assert delta > 0.0
+        cfg = CFG(method="singular", radii=radii, tolerance=0.5 * delta)
+        with pytest.raises(ToleranceError):
+            gr.reconstruct_even_singular(ev, cfg)
