@@ -26,8 +26,8 @@ from .quantile import (QuantileQuery, objective, rank_of_quantile_roundtrip,
                        solve_quantile)
 from .reconstruct import (PolynomialBump, ReconstructionConfig,
                           ReconstructionReport, divergence_fourier_profile,
-                          half_laplacian_singular, hankel_transform_order0,
-                          load_curve_csv, poisson_smooth, reconstruct_density,
+                          half_laplacian_singular, load_curve_csv,
+                          poisson_smooth, reconstruct_density,
                           reconstruct_even_singular, reconstruct_extension,
                           reconstruct_isotropic_hankel, reconstruct_odd_local,
                           verify_identity_on_test_function)

@@ -23,7 +23,7 @@ from .depth import contour as depth_contour
 from .depth import probability_content_surface, radial_content_oracle
 from .errors import (BudgetError, ConfigError, GeorankError,
                      NonConvergenceError, ParityError, ParseError)
-from .measures import RadialClosedForm, empirical_from_csv
+from .measures import RadialClosedForm, _read_table, empirical_from_csv
 from .quantile import QuantileQuery, solve_quantile
 from .rankfield import _GRID_NODE_CAP, RankEvaluator, _pair_blocks
 from .reconstruct import ReconstructionConfig, reconstruct_density
@@ -168,42 +168,15 @@ def _parse_range(spec, what):
     return np.arange(a, b + step / 2.0, step)
 
 
-def load_table(path):
-    """Read a CSV emitted by any georank command: an optional non-numeric
-    header line, then numeric rows.  Returns (column_names_or_None, array)."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        names = None
-        try:
-            [float(tok) for tok in first.split(",")]
-            skip = 0
-        except ValueError:
-            names = first.split(",")
-            skip = 1
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read table {path}: {exc}") from exc
-    return names, data
-
-
-def _read_points(path, d=None):
-    names, data = load_table(path)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        # file line of that data row: loadtxt skips the header, blank lines
-        # and '#' comments
-        skip = 1 if names is not None else 0
-        with open(path, encoding="utf-8") as fh:
-            lines = [i for i, ln in enumerate(fh, start=1)
-                     if i > skip and ln.split("#", 1)[0].strip()]
-        raise ParseError(f"{path}: row {lines[row]}, column {col + 1}: "
-                         "not a finite number")
+def load_table(path, d=None):
+    """Read a CSV table, such as any georank command writes, through the one
+    table parser: (header cells or None, data array).  With `d`, the rows
+    must have d columns."""
+    names, data = _read_table(path)
     if d is not None and data.shape[1] != d:
         raise ConfigError(f"{path}: points have {data.shape[1]} columns, "
                           f"expected {d}")
-    return data
+    return names, data
 
 
 def _emit(args, text):
@@ -222,7 +195,7 @@ def cmd_rank(args):
     measure = _measure(args)
     ev = RankEvaluator(measure)
     if args.points:
-        pts = _read_points(args.points, ev.d)
+        _, pts = load_table(args.points, ev.d)
     elif args.grid:
         try:
             lo, hi, n = args.grid.split(":")
@@ -285,7 +258,7 @@ def cmd_reconstruct(args):
     _require(args, "method")
     ev = RankEvaluator(measure)
     radii = _parse_range(args.radii, "radii") if args.radii else None
-    points = _read_points(args.points, measure.d) if args.points else None
+    points = load_table(args.points, measure.d)[1] if args.points else None
     box = args.box.split(":")
     if len(box) != 2:
         raise ConfigError("box spec must be lo:hi")
@@ -301,12 +274,7 @@ def cmd_reconstruct(args):
     if not args.reference:
         rep.f_reference = None
     if args.format == "json":
-        payload = rep.to_json_dict()
-        if rep.kind == "radial_curve":
-            payload.update(r=rep.radii, f_hat=rep.f_hat)
-            if rep.f_reference is not None:
-                payload["f_reference"] = rep.f_reference
-        _emit(args, _write.json_text(payload))
+        _emit(args, _write.json_text(rep.to_json_dict()))
     else:
         _emit(args, rep.csv_text())
     return _EXIT_OK

@@ -18,7 +18,7 @@ from . import _write
 from . import specfun as sf
 from ._quadrature import sphere_rule
 from .errors import ParityError
-from .measures import RadialClosedForm, invert_g, sample
+from .measures import RadialClosedForm, _read_table, invert_g, sample
 from .rankfield import _EVAL_BLOCK, RankEvaluator, _neg_laplacian
 
 _RAY_CAP = 1e9
@@ -67,7 +67,8 @@ class DepthContour:
 
 
 def load_contour_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read back a ray-fan contour CSV as a dict of column arrays."""
+    _, data = _read_table(path)
     d = data.shape[1] - 2
     return {"directions": data[:, :d], "radii": data[:, d],
             "rank_norm": data[:, d + 1]}

@@ -29,6 +29,14 @@ sometimes quoted alongside the same h(r) is not integrable on R^3 and is
 rejected here; applying the odd-dimension reconstruction operator to
 h = 4 arctan(r)/(pi r) independently confirms the squared form.  The built-in
 self test prints both values as a reminder.
+
+CSV input
+---------
+Every table georank reads (--csv atoms, --points, saved curves, contours and
+grid fields) goes through one parser, ``_read_table``: blank lines and lines
+starting with '#' are skipped, a non-numeric first line is the header, and a
+bad or non-finite cell, a ragged row or a file without data rows raises
+ParseError naming the file line as the row and the column.
 """
 
 import csv
@@ -462,46 +470,62 @@ def sample(m: Measure, n: int, seed: int) -> np.ndarray:
 # CSV input
 # ---------------------------------------------------------------------------
 
-def empirical_from_csv(path, d: int = None) -> Empirical:
-    """Read an empirical measure from a CSV of numeric rows.
+def _read_table(path):
+    """The one parser of every table georank reads: (header, data).
 
-    Every row must have the same width and hold finite numbers; ``nan`` and
-    ``inf`` raise ParseError with their row and column.  When ``d`` is given
-    and the rows have d+1 columns, the final column is taken as weights;
-    otherwise all columns are coordinates and weights are uniform.  A
-    non-numeric first row is treated as a header and skipped.
+    Reads the CSV file at `path` in one pass.  Blank lines and lines whose
+    first cell starts with '#' (np.savetxt's header and comments) are
+    skipped; a non-numeric first line is the header, returned as its list of
+    cells (None without one); every other line is a data row, and `data` is
+    their (rows, columns) float array.  A non-numeric or non-finite cell, a
+    row whose width differs from the first data row's, and a file without
+    data rows raise ParseError naming the file line as the row and the
+    1-based column, as does a file that cannot be read.  float() rounds
+    correctly, as np.loadtxt does, so "%.17g" text reads back exactly.
     """
-    rows = []
-    width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader, start=1):
-            if not row or all(c.strip() == "" for c in row):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            lines = [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
+    header, rows = None, []
+    for i, row in lines:
+        if not "".join(row).strip() or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            vals = [float(c) for c in row]
+        except ValueError:
+            if header is None and not rows:
+                header = row
                 continue
-            try:
-                vals = [float(c) for c in row]
-            except ValueError as exc:
-                if i == 1:
-                    continue          # header
-                bad = next(j for j, c in enumerate(row, start=1)
-                           if not _is_float(c))
-                raise ParseError(
-                    f"{path}: row {i}, column {bad}: not a number") from exc
-            if not all(map(math.isfinite, vals)):
-                bad = next(j for j, v in enumerate(vals, start=1)
-                           if not math.isfinite(v))
-                raise ParseError(
-                    f"{path}: row {i}, column {bad}: not a finite number")
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ParseError(
-                    f"{path}: row {i} has {len(vals)} columns, "
-                    f"expected {width}")
-            rows.append(vals)
+            vals = None
+        if vals is None or not all(map(math.isfinite, vals)):
+            for j, c in enumerate(row, start=1):
+                try:
+                    if math.isfinite(float(c)):
+                        continue
+                    what = "not a finite number"
+                except ValueError:
+                    what = "not a number"
+                raise ParseError(f"{path}: row {i}, column {j}: {what}")
+        if rows and len(vals) != len(rows[0]):
+            raise ParseError(f"{path}: row {i} has {len(vals)} columns, "
+                             f"expected {len(rows[0])}")
+        rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    return header, np.array(rows)
+
+
+def empirical_from_csv(path, d: int = None) -> Empirical:
+    """Read an empirical measure from a CSV of numeric rows (`_read_table`).
+
+    When ``d`` is given and the rows have d+1 columns, the final column is
+    taken as weights; otherwise all columns are coordinates and weights are
+    uniform.
+    """
+    _, data = _read_table(path)
     if d is not None:
         if data.shape[1] == d + 1:
             return Empirical(data[:, :d], data[:, d])
@@ -510,11 +534,3 @@ def empirical_from_csv(path, d: int = None) -> Empirical:
                 f"{path}: rows have {data.shape[1]} columns, "
                 f"expected {d} or {d + 1}")
     return Empirical(data)
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False

@@ -18,7 +18,7 @@ from . import _write
 from .errors import (BudgetError, DomainError, ParseError, SingularityError,
                      StencilOverflowError, UnsupportedVariantError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
-                       _row_norms, radial_profile, sample)
+                       _read_table, _row_norms, radial_profile, sample)
 
 _ATOM_TOL = 1e-12
 _GRID_NODE_CAP = 10_000_000
@@ -191,12 +191,12 @@ class VectorGridField:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                meta = json.loads(fh.readline())
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: bad grid header") from exc
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        """Read back a saved field: the JSON header line and the rows."""
+        header, data = _read_table(path)
+        try:
+            meta = json.loads(",".join(header or []))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: bad grid header") from exc
         shape = tuple(meta["shape"])
         k = meta["components"]
         d = meta["d"]

@@ -10,13 +10,14 @@ Laplacian, realized three interchangeable ways:
   blocked pass over the rings of the radial rule;
 * ``hankel``    - order-zero Hankel transform route for isotropic fields
   (forward transform of the divergence profile, multiply by |xi|, transform
-  back, using that the isotropic Fourier transform is an involution); the
-  inner transform is evaluated once on one fixed Gauss-Legendre rule over
-  the frequency axis, and that outer rule is shared by every output radius.
-  The inner transform subtracts the far field s/sqrt(1+s^2) that s h(s)
-  tends to for every measure in d = 2 and adds back its exact transform
-  from the Hankel pair int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho,
-  so the J0 quadrature only sees an absolutely convergent remainder;
+  back, using that the isotropic Fourier transform is an involution).  The
+  spectrum |xi| F(div R) is ``divergence_fourier_profile``, evaluated once
+  on one fixed Gauss-Legendre rule over the frequency axis that every
+  output radius shares.  It subtracts the far field s/sqrt(1+s^2) that
+  s h(s) tends to for every measure in d = 2 and adds back its exact
+  transform from the Hankel pair
+  int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho, so the J0
+  quadrature only sees an absolutely convergent remainder;
 * ``extension`` - harmonic extension to the upper half space: the density is
   the boundary limit of -d/dt of the extension, evaluated at small heights t
   via the Poisson kernel and Richardson-extrapolated in t.  For an empirical
@@ -25,6 +26,12 @@ Laplacian, realized three interchangeable ways:
 An empirical measure has no density: ``singular`` and the grid path of
 ``odd-local`` refuse it with ConfigError, and in odd d
 ``verify_identity_on_test_function`` checks the identity for it weakly.
+
+A ReconstructionReport writes the same answer as CSV (``csv_text``) and as
+JSON (``to_json_dict``): f_hat with a curve's radii, the points' f_hat, or a
+grid's f_hat with the origin, spacing and shape left after the
+finite-difference crop.  ``load_curve_csv`` reads a curve back through the
+one table parser.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
@@ -39,7 +46,7 @@ from ._quadrature import (bessel_j0_integral, circle_rule, geometric_edges,
 from .errors import (BudgetError, ConfigError, DecayError, ParityError,
                      ParseError, ToleranceError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
-                       _row_norms, density as measure_density,
+                       _read_table, _row_norms, density as measure_density,
                        radial_profile)
 from .rankfield import (_EVAL_BLOCK, RankEvaluator, VectorGridField,
                         _neg_laplacian, _pair_blocks, _rank_sum,
@@ -109,10 +116,21 @@ class ReconstructionReport:
         return np.abs(self.f_hat - self.f_reference)
 
     def to_json_dict(self) -> dict:
-        """The report's JSON payload for `_write.json_text`; arrays stay
-        arrays."""
-        return {"method": self.method, "config": self.config,
-                "kind": self.kind, "diagnostics": self.diagnostics}
+        """The report's JSON payload for `_write.json_text`, arrays kept as
+        arrays: method, config, kind, diagnostics and f_hat, with a curve's
+        r (and f_reference when set), or a grid's origin, spacing and shape,
+        its f_hat in row-major node order as in the CSV."""
+        out = {"method": self.method, "config": self.config,
+               "kind": self.kind, "diagnostics": self.diagnostics,
+               "f_hat": self.f_hat}
+        if self.kind == "radial_curve":
+            out["r"] = self.radii
+            if self.f_reference is not None:
+                out["f_reference"] = self.f_reference
+        elif self.kind == "grid":
+            out.update(f_hat=self.f_hat.ravel(), origin=self.grid.origin,
+                       spacing=self.grid.spacing, shape=list(self.grid.shape))
+        return out
 
     def csv_text(self) -> str:
         """A curve as r, f_hat (plus f_reference, abs_error with a
@@ -142,12 +160,9 @@ class ReconstructionReport:
 
 def load_curve_csv(path):
     """Read back a curve CSV as a dict of column arrays."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header or not header.startswith("r"):
-            raise ParseError(f"{path}: missing curve header")
-        names = header.split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    names, data = _read_table(path)
+    if not names or not names[0].startswith("r"):
+        raise ParseError(f"{path}: missing curve header")
     if data.shape[1] != len(names):
         raise ParseError(f"{path}: {data.shape[1]} columns, "
                          f"header names {len(names)}")
@@ -392,38 +407,45 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
 # Even dimension: Hankel route (isotropic, d = 2)
 # ---------------------------------------------------------------------------
 
-def hankel_transform_order0(phi, r: float, quad_nodes: int = 80) -> float:
-    """(H0 phi)(r) = int_0^inf phi(s) J0(s r) sqrt(s r) ds, r > 0.
-
-    Oscillatory quadrature: the axis is cut at the zeros of J0 and the
-    alternating cell sums are accelerated by iterated averaging, which also
-    covers conditionally convergent integrands with phi(s) sqrt(s) tending
-    to a constant.  Raises DecayError when the cell sums grow instead.
-    """
-    if r <= 0:
-        raise ValueError("transform argument r must be positive")
-    val = bessel_j0_integral(lambda s: np.sqrt(s) * phi(s), r,
-                             n_cells=quad_nodes)
-    return float(np.sqrt(r) * val)
-
-
 def _require_isotropic_d2(ev):
     if ev.d != 2 or ev.mode != "radial":
         raise ParityError("the Hankel route applies to closed-form radial "
                           "measures in d = 2")
 
 
+# Inner J0 rule on the subtracted remainder s*h(s) - s/sqrt(1+s^2), which
+# decays like s^{-2} and converges absolutely: 24 zero-to-zero cells,
+# averaged over the last 16 partial sums, where the conditionally convergent
+# s*h(s) itself needed 80 cells and 40.  On the Gaussian family the Hankel
+# route's error then sits within 5 % of its outer rule's own floor.
+_HANKEL_J0_CELLS = 24
+_HANKEL_J0_AVG = 16
+
+
 def divergence_fourier_profile(ev: RankEvaluator, xi):
-    """|xi| * (F div R)(xi) for an isotropic rank field in d = 2.
+    """V(|xi|) = |xi| (F div R)(xi) for an isotropic rank field in d = 2.
 
     F div R is isotropic with radial value 2 pi int s h(s) J0(2 pi |xi| s) ds.
+    Every probability measure on R^2 shares its far field: h(s) =
+    E[1/|x - Z|] gives s h(s) -> 1, and the Hankel pair
+    int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho
+    (Gradshteyn & Ryzhik 6.554.1) transforms that far field in closed form,
+    so with rho = 2 pi |xi|
+    V = e^{-rho} + rho B(s h(s) - s/sqrt(1+s^2), rho),
+    whose remainder converges absolutely.  Raises DecayError when s h(s) is
+    not admissible, checked once at rho = pi, where the quadrature window
+    sees the true tail of s h(s); the remainder is never checked (for the
+    Cauchy family it is rounding noise, whose cell sums do not decay).
     """
     _require_isotropic_d2(ev)
     h = ev.profile.h
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    vals = bessel_j0_integral(lambda s: s * h(s), 2.0 * np.pi * xi_arr)
-    out = xi_arr * 2.0 * np.pi * np.atleast_1d(vals)
-    return out.reshape(np.shape(xi)) if np.ndim(xi) else float(out[0])
+    bessel_j0_integral(lambda s: s * h(s), np.pi, check_decay=True)
+    rho = 2.0 * np.pi * np.atleast_1d(np.asarray(xi, dtype=float))
+    V = np.exp(-rho) + rho * bessel_j0_integral(
+        lambda s: s * h(s) - s / np.sqrt(1.0 + s * s), rho,
+        n_cells=_HANKEL_J0_CELLS, avg_depth=_HANKEL_J0_AVG,
+        check_decay=False)
+    return V.reshape(np.shape(xi)) if np.ndim(xi) else float(V[0])
 
 
 # Outer rule of the Hankel chain: Gauss-Legendre on t in [0, T], shared by
@@ -434,13 +456,6 @@ _HANKEL_T = 4.0
 _HANKEL_SEGMENTS = 16
 _HANKEL_GL = 32
 _HANKEL_TAIL_SHARE = 1e-7
-# Inner J0 rule on the subtracted remainder s*h(s) - s/sqrt(1+s^2), which
-# decays like s^{-2} and converges absolutely: 24 zero-to-zero cells,
-# averaged over the last 16 partial sums, where the conditionally convergent
-# s*h(s) itself needed 80 cells and 40.  On the Gaussian family the error
-# then sits within 5 % of the outer rule's own floor.
-_HANKEL_J0_CELLS = 24
-_HANKEL_J0_AVG = 16
 
 
 def reconstruct_isotropic_hankel(ev: RankEvaluator,
@@ -449,38 +464,17 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
     """Reconstruction through the isotropic Fourier/Hankel chain:
     transform the divergence profile, multiply by |xi|, transform back.
 
-    V(t) = |xi| F(div R) at |xi| = t is evaluated once on a fixed
-    Gauss-Legendre rule over [0, T]; every radius then comes from the same
-    nodes.  The inner transform subtracts the far field that every
-    probability measure on R^2 shares: h(s) = E[1/|x - Z|] gives
-    s h(s) -> 1, and the Hankel pair
-    int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho
-    (Gradshteyn & Ryzhik 6.554.1) turns that far field into e^{-2 pi t}, so
-    V(t) = e^{-2 pi t} + 2 pi t B(s h(s) - s/sqrt(1+s^2), 2 pi t) with an
-    absolutely convergent remainder.  Raises DecayError when s h(s) is not
+    V(t) = |xi| F(div R) at |xi| = t, from divergence_fourier_profile, is
+    evaluated once on a fixed Gauss-Legendre rule over [0, T]; every radius
+    then comes from the same nodes.  Raises DecayError when s h(s) is not
     admissible, or when the last segment of the outer rule holds a
     non-negligible share of the integrand, i.e. V decays too slowly.
     """
-    _require_isotropic_d2(ev)
-    gd = sf.gamma_d(2)
-    h = ev.profile.h
     radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
              else np.linspace(0.2, 2.0, 10))
-
-    # admissibility of the unsubtracted divergence profile, checked once at
-    # a moderate frequency where the quadrature window sees the true tail of
-    # s*h(s); the subtracted remainder is never checked (for the Cauchy
-    # family it is rounding noise, whose cell sums do not decay)
-    bessel_j0_integral(lambda s: s * h(s), np.pi, check_decay=True)
-
     t, w = gl_segments(np.linspace(0.0, _HANKEL_T, _HANKEL_SEGMENTS + 1),
                        _HANKEL_GL)
-    rho = 2.0 * np.pi * t
-    V = np.exp(-rho) + rho * bessel_j0_integral(
-        lambda s: s * h(s) - s / np.sqrt(1.0 + s * s), rho,
-        n_cells=_HANKEL_J0_CELLS, avg_depth=_HANKEL_J0_AVG,
-        check_decay=False)
-    wtv = w * t * V
+    wtv = w * t * divergence_fourier_profile(ev, t)
     tail = np.abs(wtv[-_HANKEL_GL:]).sum()
     if tail > _HANKEL_TAIL_SHARE * np.abs(wtv).sum():
         raise DecayError(
@@ -489,7 +483,7 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
 
     # f = gamma_2 * (-Delta)^{1/2} h; the half-Laplacian contributes a 2 pi
     # via 2 pi F^{-1}(|xi| F h), the radial inverse transform another 2 pi
-    const = gd * (2.0 * np.pi) ** 2
+    const = sf.gamma_d(2) * (2.0 * np.pi) ** 2
     f_hat = np.empty(len(radii))
     step = _EVAL_BLOCK // len(t)
     for lo in range(0, len(radii), step):

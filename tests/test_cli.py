@@ -13,6 +13,7 @@ import pytest
 import georank as gr
 from georank import cli, rankfield
 from georank import selftest as selftest_mod
+from georank._write import csv_text
 from georank.cli import main
 
 
@@ -304,6 +305,86 @@ def test_rank_non_finite_point_is_parse_error(tmp_path, capsys):
                 "--points", str(pts)])
     assert code == 2
     assert "row 4, column 2" in capsys.readouterr().err
+
+
+def test_points_bad_cell_reports_file_line(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n0,0\n1,oops\n")
+    code = run(["rank", "--family", "gaussian", "--dim", "2",
+                "--points", str(pts)])
+    assert code == 2
+    assert "row 3, column 2: not a number" in capsys.readouterr().err
+
+
+def test_points_header_only_is_no_data_rows(tmp_path, capsys, recwarn):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n")
+    code = run(["rank", "--family", "gaussian", "--dim", "2",
+                "--points", str(pts)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"georank: configuration error: {pts}: no data rows\n"
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    missing, good = str(tmp_path / "nope.csv"), tmp_path / "good.csv"
+    good.write_text("0,0\n")
+    for argv in (["--csv", missing, "--points", str(good)],
+                 ["--family", "gaussian", "--dim", "2", "--points", missing]):
+        assert run(["rank", *argv]) == 2
+        assert "nope.csv: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, where", [
+    ("1", "row 3 has 1 columns, expected 2"),
+    ("1,oops", "row 3, column 2: not a number"),
+    ("1,nan", "row 3, column 2: not a finite number"),
+    ("inf,1", "row 3, column 1: not a finite number"),
+    ("1,-inf", "row 3, column 2: not a finite number"),
+], ids=["ragged", "non-numeric", "nan", "inf", "-inf"])
+def test_same_parse_error_through_every_reader(tmp_path, capsys, bad, where):
+    # one table parser: --csv, --points and a saved curve report the same
+    # file line and column
+    table = tmp_path / "table.csv"
+    table.write_text(f"r,f_hat\n0.5,0.25\n{bad}\n-1,2\n")
+    good = tmp_path / "good.csv"
+    good.write_text("0,0\n")
+    with pytest.raises(gr.ParseError) as exc:
+        gr.load_curve_csv(table)
+    assert str(exc.value) == f"{table}: {where}"
+    for argv in (["--csv", str(table), "--points", str(good)],
+                 ["--family", "gaussian", "--dim", "2", "--points",
+                  str(table)]):
+        assert run(["rank", *argv]) == 2
+        assert capsys.readouterr().err == \
+            f"georank: configuration error: {exc.value}\n"
+
+
+def test_reconstruct_json_carries_f_hat(tmp_path):
+    # points: the JSON f_hat is the CSV column, and save_json writes the
+    # CLI's bytes for the same report
+    rng = np.random.default_rng(5)
+    atoms, pts = rng.standard_normal((30, 2)), rng.standard_normal((7, 2))
+    for name, arr in (("atoms.csv", atoms), ("pts.csv", pts)):
+        (tmp_path / name).write_text(csv_text(["x1", "x2"], arr))
+    argv = ["reconstruct", "--csv", str(tmp_path / "atoms.csv"), "--method",
+            "extension", "--points", str(tmp_path / "pts.csv"), "--height",
+            "0.2", "-o"]
+    assert run(argv + [str(tmp_path / "f.csv")]) == 0
+    assert run(argv + [str(tmp_path / "f.json"), "--format", "json"]) == 0
+    doc = json.loads((tmp_path / "f.json").read_text())
+    assert doc["kind"] == "points"
+    names, table = cli.load_table(tmp_path / "f.csv")
+    assert names == ["x1", "x2", "f_hat"]
+    assert np.array_equal(np.array(doc["f_hat"]), table[:, 2])
+    rep = gr.reconstruct_density(
+        gr.RankEvaluator(gr.Empirical(atoms)),
+        gr.ReconstructionConfig(method="extension", points=pts,
+                                extension_height=0.2))
+    rep.save_json(tmp_path / "lib.json")
+    assert (tmp_path / "lib.json").read_bytes() == \
+        (tmp_path / "f.json").read_bytes()
 
 
 def test_rank_grid_over_cap_exits_3_without_allocating(tmp_path, capsys):

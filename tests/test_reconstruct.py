@@ -203,19 +203,17 @@ def test_singular_many_points_in_bounded_memory():
 # Hankel
 # ---------------------------------------------------------------------------
 
-def test_hankel_transform_known_pair():
-    # int_0^inf s J0(s rho) / sqrt(1+s^2) ds = e^{-rho}/rho, so the
-    # order-zero transform of sqrt(s) h(s) with h = 1/sqrt(1+s^2) is
-    # e^{-rho}/sqrt(rho)
-    h = lambda s: 1.0 / np.sqrt(1.0 + s * s)
+def test_j0_integral_far_field_pair():
+    # Gradshteyn & Ryzhik 6.554.1, the far field the Hankel chain subtracts:
+    # int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho
     for rho in (0.5, 1.0, 2.0):
-        got = gr.hankel_transform_order0(lambda s: np.sqrt(s) * h(s), rho)
-        assert got == pytest.approx(np.exp(-rho) / np.sqrt(rho), rel=1e-8)
+        got = bessel_j0_integral(lambda s: s / np.sqrt(1.0 + s * s), rho)
+        assert got == pytest.approx(np.exp(-rho) / rho, rel=1e-8)
 
 
-def test_hankel_decay_error_on_growing_input():
+def test_j0_integral_decay_error_on_growing_input():
     with pytest.raises(DecayError):
-        gr.hankel_transform_order0(lambda s: s, 1.0)
+        bessel_j0_integral(lambda s: s ** 1.5, 1.0)
 
 
 def test_spectrum_values():
@@ -232,6 +230,36 @@ def test_spectrum_values():
         assert got == pytest.approx(np.exp(-2 * np.pi * xi), rel=1e-4)
     assert gr.divergence_fourier_profile(ev, 1.0 / (2 * np.pi)) \
         == pytest.approx(np.exp(-1.0), rel=1e-6)
+
+
+def test_spectrum_far_field_subtracted():
+    # criterion 05's frequencies: on Cauchy, s h(s) is the subtracted far
+    # field itself, so V = e^{-rho} to rounding
+    xi = np.linspace(0.05, 0.5, 10)
+    for fam, want, rel in (("gaussian", np.exp(-2 * np.pi ** 2 * xi ** 2),
+                            2e-8),
+                           ("cauchy", np.exp(-2 * np.pi * xi), 1e-14)):
+        ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
+        got = gr.divergence_fourier_profile(ev, xi)
+        assert got.shape == xi.shape
+        assert np.max(np.abs(got / want - 1.0)) <= rel
+        assert gr.divergence_fourier_profile(ev, xi[3]) == got[3]
+
+
+def test_hankel_route_reads_the_public_spectrum(monkeypatch):
+    # one |xi| F(div R): the Hankel chain takes V from the public function
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    want = gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel")).f_hat
+    seen = []
+
+    def spy(ev, xi):
+        seen.append(len(xi))
+        return gr.divergence_fourier_profile(ev, xi)
+
+    monkeypatch.setattr(reconstruct, "divergence_fourier_profile", spy)
+    got = reconstruct.reconstruct_isotropic_hankel(ev, CFG(method="hankel"))
+    assert seen == [reconstruct._HANKEL_SEGMENTS * reconstruct._HANKEL_GL]
+    assert np.array_equal(got.f_hat, want)
 
 
 @pytest.mark.parametrize("fam", ["gaussian", "cauchy"])

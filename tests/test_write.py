@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import georank as gr
+from georank import cli
 from georank import selftest as selftest_mod
 from georank._write import csv_text, json_text
 
@@ -88,9 +89,8 @@ def test_radial_curve(reference, tmp_path):
     rep.save_curve_csv(tmp_path / "curve.csv")
     assert (tmp_path / "curve.csv").read_text() == expected
     payload = rep.to_json_dict()
-    payload.update(r=rep.radii, f_hat=rep.f_hat)
-    if reference:
-        payload["f_reference"] = rep.f_reference
+    assert payload["r"] is rep.radii and payload["f_hat"] is rep.f_hat
+    assert ("f_reference" in payload) == reference
     assert_json_same(payload)
 
 
@@ -109,6 +109,26 @@ def test_report_config_and_diagnostics(tmp_path):
     assert (tmp_path / "rep.json").read_text() == dumps_json(payload)
     rows = [list(p) + [f] for p, f in zip(pts, rep.f_hat)]
     assert rep.csv_text() == row_loop_csv(["x1", "x2", "f_hat"], rows)
+
+
+def test_grid_report_json_carries_f_hat(tmp_path):
+    # the FD crop moves the grid: JSON gives its origin, spacing and shape,
+    # and f_hat in the CSV's row order
+    ev = gr.RankEvaluator(gr.RadialClosedForm("cauchy", 3))
+    rep = gr.reconstruct_odd_local(ev, gr.ReconstructionConfig(
+        grid_nodes=13, force_grid=True, coarse_check=False))
+    payload = rep.to_json_dict()
+    assert payload["kind"] == "grid"
+    assert np.array_equal(payload["f_hat"],
+                          np.loadtxt(rep.csv_text().splitlines()[1:],
+                                     delimiter=",")[:, -1])
+    assert np.array_equal(payload["origin"], rep.grid.origin)
+    assert payload["origin"][0] > -3.0
+    assert payload["spacing"] == rep.grid.spacing
+    assert payload["shape"] == list(rep.grid.shape)
+    assert_json_same(payload)
+    rep.save_json(tmp_path / "grid.json")
+    assert (tmp_path / "grid.json").read_text() == json_text(payload)
 
 
 def test_contour_rayfan_and_radial(tmp_path):
@@ -197,3 +217,41 @@ _payloads = st.recursive(
 @given(_payloads)
 def test_json_text_equals_json_dumps(payload):
     assert json_text(payload) == dumps_json(payload)
+
+
+
+_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+          2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+          1.7976931348623157e308]
+_tables = st.tuples(st.integers(1, 6), st.integers(3, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(_EDGES), _finite)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_tables)
+def test_csv_round_trip_is_exact_through_every_reader(tmp_path_factory,
+                                                      table):
+    # what csv_text writes, every reader gives back bit for bit, -0.0,
+    # subnormals and 1e+-300 included
+    m, k = table.shape
+    grid = json.dumps({"origin": [0.0], "spacing": 1.0, "shape": [m],
+                       "d": 1, "components": k - 1})
+    readers = [
+        ([f"x{i + 1}" for i in range(k)], slice(None),
+         lambda p: gr.empirical_from_csv(p).atoms),
+        ([f"c{i + 1}" for i in range(k)], slice(None),
+         lambda p: cli.load_table(p)[1]),
+        (["r"] + [f"c{i + 1}" for i in range(1, k)], slice(None),
+         lambda p: np.column_stack(list(gr.load_curve_csv(p).values()))),
+        ([f"u{i + 1}" for i in range(k - 2)] + ["radius", "rank_norm"],
+         slice(None),
+         lambda p: np.column_stack(list(gr.load_contour_csv(p).values()))),
+        ([grid], slice(1, None), lambda p: gr.VectorGridField.load(p).values),
+    ]
+    path = tmp_path_factory.mktemp("tables") / "table.csv"
+    for names, cols, read in readers:
+        path.write_text(csv_text(names, table))
+        got, want = read(path), table[:, cols]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
