@@ -6,8 +6,9 @@ Measures come from --family/--dim (closed-form radial) or --csv (empirical
 atoms).  Identical flags produce bit-identical output files.  A JSON file of
 flag defaults can be supplied with --config; explicitly passed flags win.
 
-Exit codes: 0 ok, 1 selftest failure, 2 configuration error, 3 numeric
-failure, 4 solver non-convergence.
+Exit codes: 0 ok, 1 selftest failure, 2 configuration error (an `-o` path
+that cannot be written included), 3 numeric failure (out of memory
+included), 4 solver non-convergence.
 """
 
 import argparse
@@ -25,7 +26,8 @@ from .errors import (BudgetError, ConfigError, GeorankError,
                      NonConvergenceError, ParityError, ParseError)
 from .measures import RadialClosedForm, _read_table, empirical_from_csv
 from .quantile import QuantileQuery, solve_quantile
-from .rankfield import _GRID_NODE_CAP, RankEvaluator, _pair_blocks
+from .rankfield import (_GRID_NODE_CAP, RankEvaluator, _grid_nodes,
+                        _pair_blocks)
 from .reconstruct import ReconstructionConfig, reconstruct_density
 
 _EXIT_OK = 0
@@ -64,9 +66,6 @@ _FLAGS = {
          "add closed-form density and error columns"),
         ("--eta", float, 1e-3, "inner cutoff of the singular integral"),
         ("--rmax", float, 50.0, "outer truncation radius"),
-        ("--fd-order", int, 2, "finite-difference order: 2 | 4"),
-        ("--nodes", int, 61, "grid nodes per axis (odd-local grid path)"),
-        ("--box", str, "-3:3", "grid box lo:hi (odd-local grid path)"),
         ("--height", float, 0.01, "extension height t"),
     ],
     "contour": _COMMON_FLAGS + [
@@ -181,8 +180,12 @@ def load_table(path, d=None):
 
 def _emit(args, text):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -207,8 +210,7 @@ def cmd_rank(args):
         if n ** ev.d > _GRID_NODE_CAP:
             raise BudgetError(f"{n}^{ev.d} grid nodes exceed the cap of "
                               f"{_GRID_NODE_CAP}")
-        mesh = np.meshgrid(*[np.linspace(lo, hi, n)] * ev.d, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = _grid_nodes([np.linspace(lo, hi, n)] * ev.d)
     else:
         raise ConfigError("missing required flag --points or --grid")
     d = ev.d
@@ -259,15 +261,10 @@ def cmd_reconstruct(args):
     ev = RankEvaluator(measure)
     radii = _parse_range(args.radii, "radii") if args.radii else None
     points = load_table(args.points, measure.d)[1] if args.points else None
-    box = args.box.split(":")
-    if len(box) != 2:
-        raise ConfigError("box spec must be lo:hi")
     try:
         cfg = ReconstructionConfig(
             method=args.method, eta=args.eta, r_max=args.rmax,
-            fd_order=args.fd_order, grid_box=(float(box[0]), float(box[1])),
-            grid_nodes=args.nodes, extension_height=args.height,
-            radii=radii, points=points)
+            extension_height=args.height, radii=radii, points=points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rep = reconstruct_density(ev, cfg)
@@ -356,6 +353,9 @@ def main(argv=None) -> int:
         return _EXIT_NONCONV
     except (GeorankError, ValueError) as exc:
         print(f"georank: numeric failure: {exc}", file=sys.stderr)
+        return _EXIT_NUMERIC
+    except MemoryError:
+        print("georank: numeric failure: out of memory", file=sys.stderr)
         return _EXIT_NUMERIC
 
 

@@ -140,6 +140,17 @@ def _check_not_atom(dist):
 # Grid fields
 # ---------------------------------------------------------------------------
 
+def _grid_nodes(axes):
+    """The nodes of the grid with these axes, row-major, shape (prod of the
+    axis lengths, d): `meshgrid(*axes, indexing="ij")` stacked, bit for bit,
+    written column by column without the meshgrid copies."""
+    d = len(axes)
+    pts = np.empty(tuple(len(ax) for ax in axes) + (d,))
+    for i, ax in enumerate(axes):
+        pts[..., i] = np.reshape(ax, (-1,) + (1,) * (d - 1 - i))
+    return pts.reshape(-1, d)
+
+
 @dataclass
 class VectorGridField:
     """Field sampled on a uniform rectangular grid.
@@ -172,8 +183,7 @@ class VectorGridField:
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, row-major, shape (prod(shape), d)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _grid_nodes(self.axes())
 
     def save(self, path):
         """One JSON header line, then CSV rows: coordinates, components."""

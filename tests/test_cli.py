@@ -202,7 +202,8 @@ def test_help_documents_every_flag(capsys):
         for opt in opts:
             assert opt in help_text, f"{name}: {opt} undocumented"
         # no flag that no code reads
-        assert not opts & {"--mc-budget", "--seed", "--threads"}, name
+        assert not opts & {"--mc-budget", "--seed", "--threads", "--nodes",
+                           "--box", "--fd-order"}, name
 
 
 def test_rank_grid_output(tmp_path):
@@ -454,6 +455,35 @@ def test_reconstruct_threads_flag_is_refused(capsys):
              "--method", "singular", "--radii", "0:1:0.5", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--nodes=21", "--box=-2:2", "--fd-order=4"])
+def test_reconstruct_grid_flags_are_refused(flag, capsys):
+    # they fed only the odd-local grid path, which the CLI cannot take
+    with pytest.raises(SystemExit) as exc:
+        run(["reconstruct", "--family", "gaussian", "--dim", "3",
+             "--method", "odd-local", "--radii", "0:1:0.5", flag])
+    assert exc.value.code == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = run(["rank", "--family", "gaussian", "--dim", "2",
+                "--grid=-1:1:3", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"cannot write {out}: No such file or directory" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._HANDLERS, "rank", out_of_memory)
+    assert run(["rank", "--family", "gaussian", "--dim", "2",
+                "--grid=-1:1:3"]) == 3
+    assert "numeric failure: out of memory" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import georank as gr
 from georank.errors import (BudgetError, DomainError, SingularityError,
                             StencilOverflowError)
 from georank.rankfield import (kernel_derivative_terms, _eval_terms,
-                              _neg_laplacian)
+                               _grid_nodes, _neg_laplacian)
 
 
 def _ev_empirical(atoms, weights=None):
@@ -401,3 +401,19 @@ def test_neg_laplacian_of_quadratic_is_exact():
     pts = np.random.default_rng(14).standard_normal((10, 4))
     got = _neg_laplacian(lambda q: (q * q).sum(axis=1), pts, 0.1)
     np.testing.assert_allclose(got, -8.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_grid_nodes_equal_meshgrid_stack(d):
+    axes = [np.linspace(-2.0, 2.0, 4 + i) * (1.0 + 1e-3 * i)
+            for i in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    want = np.stack([m.ravel() for m in mesh], axis=1)
+    got = _grid_nodes(axes)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    field = gr.VectorGridField(origin=[a[0] for a in axes], spacing=0.5,
+                               shape=[len(a) for a in axes],
+                               values=np.zeros([len(a) for a in axes]))
+    mesh = np.meshgrid(*field.axes(), indexing="ij")
+    assert np.array_equal(field.nodes(),
+                          np.stack([m.ravel() for m in mesh], axis=1))

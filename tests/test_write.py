@@ -2,14 +2,16 @@
 json.dumps(indent=2, sort_keys=True) on every payload georank writes."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
+from hypothesis.extra.numpy import array_shapes, arrays, integer_dtypes
 
 import georank as gr
-from georank import cli
+from georank import _write, cli
 from georank import selftest as selftest_mod
 from georank._write import csv_text, json_text
 
@@ -255,3 +257,80 @@ def test_csv_round_trip_is_exact_through_every_reader(tmp_path_factory,
         got, want = read(path), table[:, cols]
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# repeated values take the path that formats each distinct value once, so
+# the pool holds values that differ only in bits: signed zeros, NaN payloads
+_NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                  0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+_POOL = np.concatenate([_EDGES, [1.0, -2.5, 0.1, np.inf, -np.inf], _NANS])
+_FINITE_POOL = _POOL[np.isfinite(_POOL)]
+_INT_POOL = np.array([0, 1, -1, 7, -(2 ** 40), 2 ** 62])
+
+
+def _pooled(pool):
+    """Tables of at least 16 values drawn from 4 members of `pool`: at most
+    a quarter of the values are distinct."""
+    members = st.lists(st.integers(0, len(pool) - 1), min_size=4,
+                       max_size=4)
+    index = st.tuples(st.integers(16, 40), st.integers(1, 5)).flatmap(
+        lambda shape: arrays(np.intp, shape, elements=st.integers(0, 3)))
+    return st.tuples(members, index).map(
+        lambda drawn: pool[np.array(drawn[0])][drawn[1]])
+
+
+def _distinct(elements, dtype=np.float64):
+    shapes = st.tuples(st.integers(1, 12), st.integers(1, 5))
+    return arrays(dtype, shapes, elements=elements, unique=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_pooled(_POOL),
+                 _distinct(st.one_of(st.sampled_from(_EDGES), _floats))))
+def test_csv_text_equals_row_loop_on_repeated_and_distinct_values(table):
+    names = [f"c{i + 1}" for i in range(table.shape[1])]
+    assert csv_text(names, table) == row_loop_csv(names, table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_pooled(_FINITE_POOL), _pooled(_INT_POOL),
+                 _distinct(st.one_of(st.sampled_from(_EDGES), _finite)),
+                 integer_dtypes().flatmap(
+                     lambda dt: _distinct(None, dt))))
+def test_json_text_equals_json_dumps_on_repeated_and_distinct_values(a):
+    assert_json_same({"table": a, "row": a[0], "flat": a.ravel()})
+
+
+def test_only_repeated_tables_pay_the_full_sort():
+    # the path is chosen on a strided sample of rows before any full sort
+    sizes = []
+    real_unique = np.unique
+
+    def unique(keys, **kw):
+        sizes.append(keys.size)
+        return real_unique(keys, **kw)
+    pts = _grid_points(3, 21)
+    ranks = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3)).rank_many(pts)
+    distinct = np.random.default_rng(14).standard_normal(pts.shape)
+    with mock.patch.object(_write.np, "unique", unique):
+        csv_text(["a", "b", "c"], distinct)
+        assert sizes == []
+        grid = np.hstack([pts, ranks])
+        assert csv_text(list("abcdef"), grid) == row_loop_csv(list("abcdef"),
+                                                              grid)
+        assert sizes == [grid.size]
+
+
+def test_distinct_table_peaks_as_one_format_pass():
+    a = np.random.default_rng(15).standard_normal((200_000, 5))
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    direct = peak(lambda: ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * a.shape[0])
+                  % tuple(a.ravel().tolist()))
+    assert peak(lambda: csv_text(list("abcde"), a)) <= 1.1 * direct
