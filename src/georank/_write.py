@@ -3,11 +3,13 @@
 `csv_text` equals a header line plus one `",".join("%.17g" % v ...)` line
 per row, and `json_text(obj)` equals `json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"` with each ndarray read as its `tolist()`, byte
-for byte; each lays out a whole table or array with one format string.
+for byte; each lays out a whole table or array as a head, the values with
+one separator within a row, one between rows and one after the last.
 
 Grid tables repeat most of their values (coordinate columns, ranks under
 the grid's symmetries), so `_fill` formats each distinct bit pattern once
-when at most half the values are distinct; the bytes are unchanged.
+when at most half the values are distinct, and joins those strings with
+their separators in one pass; the bytes are unchanged.
 """
 
 import json
@@ -22,39 +24,55 @@ _SAMPLE = 2048
 def csv_text(names, table):
     """Header `names` joined by commas, then the rows of the 2-D `table`,
     every value as "%.17g" (an integer value prints as an integer)."""
-    a = np.asarray(table, dtype=float)
-    m, k = a.shape
-    return ",".join(names) + "\n" + _fill(
-        lambda slot: (",".join([slot] * k) + "\n") * m, "%.17g", a)
+    return _fill(np.asarray(table, dtype=float), "%.17g",
+                 ",".join(names) + "\n", ",", "\n", "\n")
 
 
 def json_text(obj):
     return _layout(obj, "\n") + "\n"
 
 
-def _fill(layout, item, values):
-    """`layout(item) % tuple(values.ravel().tolist())`, where `layout(slot)`
-    is the text with one `slot` per value in row-major order.
+def _fill(values, item, head, sep, row_end, last):
+    """`head`, then the rows of the 2-D `values`, each value formatted by
+    `item`, with `sep` between the values of a row, `row_end` between rows
+    and `last` after the final row ("" for no rows).
 
     Values are keyed by their bit pattern, so -0.0 and 0.0, and NaNs with
     different payloads, stay apart.  When a strided sample of whole rows
     shows at most half of them distinct, each distinct value is formatted
-    once and `layout("%s")` is filled with those strings."""
+    once, one argsort of the keys maps every value to its distinct string,
+    and the text is one "".join of a gather from the table of each
+    distinct string followed by each separator.  Otherwise the layout with
+    one `item` per value is filled by one `%`."""
+    m, k = values.shape
     v = values.ravel()
     if v.itemsize in (1, 2, 4, 8):          # an unsigned type of that width
-        key = f"u{v.itemsize}"
+        keys = v.view(f"u{v.itemsize}")
         # sorted and counted: np.unique takes 20 times as long on a sample
         sample = np.sort(values[::values.size // _SAMPLE + 1].ravel()
-                         .view(key))
+                         .view(keys.dtype))
         distinct = 1 + np.count_nonzero(sample[1:] != sample[:-1])
         if 2 * distinct <= sample.size:
-            uniq, inv = np.unique(v.view(key), return_inverse=True)
+            order = np.argsort(keys)
+            keys = keys[order]
+            first = np.empty(keys.size, dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            # slot = 3 * (index of the value's distinct string) + separator
+            slot = np.empty(keys.size, dtype=np.intp)
+            slot[order] = 3 * (np.cumsum(first) - 1)
+            slot = slot.reshape(m, k)
+            slot[:, -1] += 1
+            slot[-1, -1] += 1
+            uniq = keys[first].view(v.dtype)
             # no item format writes a newline
-            text = ((item + "\n") * uniq.size) % tuple(
-                uniq.view(v.dtype).tolist())
-            strings = np.array(text.split("\n"), dtype=object)
-            return layout("%s") % tuple(strings[inv].tolist())
-    return layout(item) % tuple(v.tolist())
+            strings = ((item + "\n") * uniq.size % tuple(uniq.tolist())
+                       ).split("\n")[:-1]
+            table = (np.array(strings, dtype=object)[:, None]
+                     + np.array([sep, row_end, last], dtype=object))
+            return head + "".join(table.ravel()[slot.ravel()].tolist())
+    layout = row_end.join([sep.join([item] * k)] * m) + last if m else ""
+    return head + layout % tuple(v.tolist())
 
 
 def _layout(node, nl):
@@ -69,14 +87,13 @@ def _layout(node, nl):
     if (isinstance(node, np.ndarray) and node.dtype.kind in "fiu"
             and node.ndim in (1, 2) and node.size
             and np.isfinite(node).all()):
-        def layout(slot):
-            if node.ndim == 2:
-                slot = ("[" + inner + "  " + ("," + inner + "  ").join(
-                    [slot] * node.shape[1]) + inner + "]")
-            return ("[" + inner + ("," + inner).join([slot] * node.shape[0])
-                    + nl + "]")
         # %r of a tolist() value is float.__repr__ / int.__repr__, as in json
-        return _fill(layout, "%r", node)
+        if node.ndim == 1:
+            return _fill(node[:, None], "%r", "[" + inner, "", "," + inner,
+                         nl + "]")
+        row = inner + "  "
+        return _fill(node, "%r", "[" + inner + "[" + row, "," + row,
+                     inner + "]," + inner + "[" + row, inner + "]" + nl + "]")
     # json escapes the newlines inside strings: every raw newline is layout
     return json.dumps(node, indent=2, sort_keys=True,
                       default=np.ndarray.tolist).replace("\n", nl)

@@ -106,7 +106,8 @@ def _build_parser():
 
 
 def _merge_config(args):
-    """Apply --config JSON defaults, then the flag-table defaults."""
+    """Apply --config JSON defaults, then the flag-table defaults.  A key
+    that names no flag of the subcommand is a ConfigError."""
     table = {name.lstrip("-").replace("-", "_"): default
              for name, _, default, _ in _FLAGS[args.command]}
     cfg = {}
@@ -118,6 +119,10 @@ def _merge_config(args):
             raise ConfigError(f"cannot read --config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("--config must hold a JSON object")
+        unknown = sorted(set(cfg) - set(table))
+        if unknown:
+            raise ConfigError(f"--config keys that name no flag of "
+                              f"{args.command}: {', '.join(unknown)}")
     merged = argparse.Namespace()
     for key, default in table.items():
         val = getattr(args, key, None)

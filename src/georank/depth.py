@@ -8,11 +8,11 @@ the rank Jacobian is positive definite, so contours are smooth manifolds and
 exploits.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize.elementwise import find_root
 
 from . import _write
 from . import specfun as sf
@@ -22,6 +22,12 @@ from .measures import RadialClosedForm, _read_table, invert_g, sample
 from .rankfield import _EVAL_BLOCK, RankEvaluator, _neg_laplacian
 
 _RAY_CAP = 1e9
+
+# the defaults of scipy.optimize.elementwise.find_root: the residual
+# tolerance is the smallest normal float, the iteration cap the number of
+# bisections that span the normal floats
+_FATOL = np.finfo(float).smallest_normal
+_MAXITER = math.log2(np.finfo(float).max) - math.log2(_FATOL)
 
 
 @dataclass
@@ -125,6 +131,13 @@ def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
     are reported as skipped, and so are the rays whose first unit step is
     not below beta while |R(0)| > beta: the origin lies outside the
     contour, and [0, 1] brackets no crossing.
+
+    The root loop is `_chandrupatla`, a port of the one behind scipy's
+    `optimize.elementwise.find_root` with the same radii bit for bit:
+    find_root's general framework (argument broadcasting, result objects,
+    per-step bookkeeping) costs about 0.35 ms a step against 0.07 ms for
+    the port (48 brackets of a linear function; Python 3.11, scipy 1.17),
+    more than a step's rank evaluations on a 400-atom cloud.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
@@ -168,17 +181,74 @@ def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
     achieved = np.full(n_rays, np.nan)
     i = rays[~skip]
     if len(i):
-        res = find_root(fun, (lo[i], hi[i]), args=(i,),
-                        tolerances={"xatol": min(tol, 1e-12),
-                                    "xrtol": 4 * np.finfo(float).eps})
-        skip[i[~res.success]] = True
-        i = i[res.success]
-        radii[i] = res.x[res.success]
+        x, conv = _chandrupatla(lambda t, k: fun(t, i[k]), lo[i], hi[i],
+                                min(tol, 1e-12), 4 * np.finfo(float).eps)
+        skip[i[~conv]] = True
+        i = i[conv]
+        radii[i] = x[conv]
         achieved[i] = norm_rank(radii[i], i)
     ok = ~skip
     return DepthContour(beta, "rayfan", directions=dirs[ok], radii=radii[ok],
                         achieved=achieved[ok],
                         skipped=rays[skip].tolist())
+
+
+def _chandrupatla(fun, x1, x2, xatol, xrtol):
+    """Roots of fun(x, k) = 0 on the brackets [x1[k], x2[k]], all brackets in
+    lockstep: (x, converged).  `fun` gets the abscissae of the brackets
+    still open and their indices k.
+
+    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+    (Adv. Eng. Software 28(3), 1997), ported from scipy 1.17's
+    `optimize._chandrupatla` with its updates, its termination tests and
+    find_root's defaults (residual tolerance `_FATOL`, no relative residual
+    tolerance, `_MAXITER` steps), so the roots are find_root's bit for bit.
+    Like find_root it evaluates both bracket ends first.  A bracket whose
+    ends share a sign, or whose abscissae stop being finite, gives x = nan
+    and converged False; one that runs out of steps gives its best end.
+    """
+    k = np.arange(len(x1))
+    f1, f2 = fun(x1, k), fun(x2, k)
+    x, converged = np.full(len(k), np.nan), np.zeros(len(k), dtype=bool)
+    nit, x3, f3 = 0, None, None
+    while True:
+        near = np.abs(f1) < np.abs(f2)
+        xm = np.where(near, x1, x2)
+        conv = np.abs(np.where(near, f1, f2)) <= _FATOL
+        bad = ~conv & ((np.sign(f1) == np.sign(f2)) | ~np.isfinite(x1)
+                       | ~np.isfinite(x2) | np.isnan(f1) & np.isnan(f2))
+        xm[bad] = np.nan
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xm) * xrtol + xatol
+        conv |= dx < tol
+        stop = conv | bad
+        if nit >= _MAXITER:
+            stop[:] = True
+        x[k[stop]], converged[k[stop]] = xm[stop], conv[stop]
+        if stop.all():
+            return x, converged
+        go = ~stop
+        k, x1, x2, f1, f2, dx, tol = (a[go] for a in
+                                      (k, x1, x2, f1, f2, dx, tol))
+        t = 0.5
+        if nit:
+            x3, f3 = x3[go], f3[go]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                iqi = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        xn = x1 + t * (x2 - x1)
+        fn = fun(xn, k)
+        same = np.sign(fn) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xn, fn
+        nit += 1
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,15 @@ Every table georank reads (--csv atoms, --points, saved curves, contours and
 grid fields) goes through one parser, ``_read_table``: blank lines and lines
 starting with '#' are skipped, a non-numeric first line is the header, and a
 bad or non-finite cell, a ragged row or a file without data rows raises
-ParseError naming the file line as the row and the column.
+ParseError naming the file line as the row and the column.  Plain numeric
+text is parsed by one np.loadtxt call; anything else, and every error, goes
+through the row-by-row csv.reader parser.
 """
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -470,21 +474,86 @@ def sample(m: Measure, n: int, seed: int) -> np.ndarray:
 # CSV input
 # ---------------------------------------------------------------------------
 
+# a line after the first that may be blank or a comment: empty, or led by
+# whitespace, a comma or '#'
+_ODD_LINE = re.compile(r"\n[\s,#]")
+
+
 def _read_table(path):
     """The one parser of every table georank reads: (header, data).
 
-    Reads the CSV file at `path` in one pass.  Blank lines and lines whose
-    first cell starts with '#' (np.savetxt's header and comments) are
-    skipped; a non-numeric first line is the header, returned as its list of
-    cells (None without one); every other line is a data row, and `data` is
-    their (rows, columns) float array.  A non-numeric or non-finite cell, a
-    row whose width differs from the first data row's, and a file without
-    data rows raise ParseError naming the file line as the row and the
-    1-based column, as does a file that cannot be read.  float() rounds
-    correctly, as np.loadtxt does, so "%.17g" text reads back exactly.
+    Reads the CSV file at `path` once.  Blank lines (nothing but whitespace
+    and commas) and lines whose first cell starts with '#' (np.savetxt's
+    header and comments) are skipped; a non-numeric first line is the
+    header, returned as its list of cells (None without one); every other
+    line is a data row, and `data` is their (rows, columns) float array.  A
+    non-numeric or non-finite cell, a row whose width differs from the first
+    data row's, and a file without data rows raise ParseError naming the
+    file line as the row and the 1-based column, as does a file that cannot
+    be read.
+
+    Text without quotes or NULs is split into lines, and its data lines are
+    parsed by one np.loadtxt call (`_parse_plain`).  Whenever that call
+    raises, a value is not finite, no data line is left or a line is longer
+    than csv's field limit, the text goes to the row parser (`_read_rows`)
+    instead, which decides and names the error; so both give the same
+    header, the same bits and the same errors.  loadtxt and float() round
+    correctly, so "%.17g" text reads back exactly.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # the row parser reads line by line and reports the byte offset
+        # within the chunk it decoded, as it always has
+        text = None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
+    if text is not None and '"' not in text and "\0" not in text:
+        table = _parse_plain(text)
+        if table is not None:
+            return table
+    return _read_rows(path, text)
+
+
+def _parse_plain(text):
+    """(header, data) of a CSV text without quotes or NULs from one
+    np.loadtxt call on its data lines, or None where `_read_rows` must
+    decide.  Lines end at \\r\\n, \\r or \\n, as csv reads them."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    if text[:1].isspace() or text[:1] in ",#" or _ODD_LINE.search(text):
+        lines = [ln for ln in lines if ln.replace(",", "").strip()
+                 and not ln.lstrip().startswith("#")]
+    elif not lines[-1]:
+        lines.pop()                   # the end of the last line
+    header = None
+    if lines:
+        try:
+            [float(c) for c in lines[0].split(",")]
+        except ValueError:
+            header, lines = lines[0].split(","), lines[1:]
+    if not lines:
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:                # the row parser names what is wrong
+        return None
+    if not np.isfinite(data).all():
+        return None
+    return header, data
+
+
+def _read_rows(path, text):
+    """`_read_table` row by row with csv.reader, on `text`, or on the file
+    when `text` is None."""
+    try:
+        with (open(path, newline="", encoding="utf-8") if text is None
+              else io.StringIO(text, newline="")) as fh:
             reader = csv.reader(fh)
             lines = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

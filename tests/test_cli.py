@@ -190,6 +190,22 @@ def test_config_file_merge_flags_win(tmp_path):
     assert prof.g(got) == pytest.approx(0.5, abs=1e-8)
 
 
+def test_config_keys_that_name_no_flag_exit_2(tmp_path, capsys):
+    # every unknown key is named, the subcommand's other flags are not, and
+    # nothing is written
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"alpha": 0.5, "direction": "1,0",
+                               "family": "cauchy", "dim": 2,
+                               "no_such_flag": 1, "rays": 8}))
+    out = tmp_path / "q.csv"
+    code = run(["quantile", "--config", str(cfg), "-o", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "georank: configuration error: --config keys that name no flag of "
+        "quantile: no_such_flag, rays\n")
+    assert not out.exists()
+
+
 def test_help_documents_every_flag(capsys):
     parser = cli._build_parser()
     sub_actions = [a for a in parser._actions

@@ -280,3 +280,81 @@ def test_contour_radii_match_per_ray_brent(d, n_rays, beta):
     assert not c.skipped and len(c.radii) == n_rays
     want = _brent_radii(ev, c.directions, beta, 1e-12)
     assert np.max(np.abs(c.radii - want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the lockstep Chandrupatla loop against scipy's find_root, the loop it
+# was ported from
+# ---------------------------------------------------------------------------
+
+def _find_root_solver(fun, x1, x2, xatol, xrtol, maxiter=None):
+    """`depth._chandrupatla` through scipy.optimize.elementwise.find_root."""
+    from scipy.optimize.elementwise import find_root
+    res = find_root(fun, (x1, x2), args=(np.arange(len(x1)),),
+                    tolerances={"xatol": xatol, "xrtol": xrtol},
+                    maxiter=maxiter)
+    return res.x, res.success
+
+
+def _same_contour(ev, beta, n_rays, monkeypatch):
+    """The contour from the in-house loop equals the one from find_root on
+    the same brackets, bit for bit."""
+    c = gr.contour(ev, beta, n_rays=n_rays, tol=1e-10)
+    with monkeypatch.context() as m:
+        m.setattr(gr.depth, "_chandrupatla", _find_root_solver)
+        want = gr.contour(ev, beta, n_rays=n_rays, tol=1e-10)
+    assert np.array_equal(c.directions, want.directions)
+    assert np.array_equal(c.radii, want.radii)
+    assert np.array_equal(c.achieved, want.achieved)
+    assert c.skipped == want.skipped
+    return c
+
+
+@pytest.mark.parametrize("d, n_rays", [(2, 48), (3, 32)])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+def test_contour_equals_find_root(d, n_rays, beta, monkeypatch):
+    rng = np.random.default_rng(50 + d)
+    atoms = rng.standard_normal((400, d)) * [1.0, 0.6, 1.4][:d]
+    ev = gr.RankEvaluator(gr.Empirical(atoms - np.median(atoms, axis=0)))
+    c = _same_contour(ev, beta, n_rays, monkeypatch)
+    assert not c.skipped
+
+
+def test_contour_with_skipped_rays_equals_find_root(monkeypatch):
+    # the cloud of test_contour_skips_rays_when_origin_lies_outside
+    rng = np.random.default_rng(41)
+    atoms = 0.4 * rng.standard_normal((300, 2)) + [1.2, 0.0]
+    c = _same_contour(gr.RankEvaluator(gr.Empirical(atoms)), 0.5, 16,
+                      monkeypatch)
+    assert 0 < len(c.skipped) < 16
+
+
+def test_contour_past_the_cap_equals_find_root(monkeypatch):
+    # the cloud and cap of test_contour_rays_past_the_cap_are_skipped
+    monkeypatch.setattr(gr.depth, "_RAY_CAP", 2.0)
+    rng = np.random.default_rng(42)
+    atoms = rng.standard_normal((400, 2)) * [2.5, 0.4]
+    ev = gr.RankEvaluator(gr.Empirical(atoms - np.median(atoms, axis=0)))
+    c = _same_contour(ev, 0.64, 24, monkeypatch)
+    assert 0 < len(c.skipped) < 24
+
+
+@pytest.mark.parametrize("maxiter", [None, 3])
+def test_chandrupatla_equals_find_root(maxiter, monkeypatch):
+    # brackets with a root inside, no sign change, a root at an end, wide
+    # and tight tolerances, and a capped iteration count
+    rng = np.random.default_rng(51)
+    c = rng.uniform(-3.0, 3.0, 300)
+    fun = lambda x, k: x ** 3 - 2.0 * x - c[k]
+    lo, hi = rng.uniform(-5.0, 0.0, 300), rng.uniform(0.0, 5.0, 300)
+    lo[:30], hi[:30] = 3.0, 4.0
+    lo[30], c[30] = 0.0, 0.0
+    if maxiter is not None:
+        monkeypatch.setattr(gr.depth, "_MAXITER", maxiter)
+    for xatol in (1e-12, 1e-3):
+        x, ok = gr.depth._chandrupatla(fun, lo, hi, xatol, 1e-15)
+        want_x, want_ok = _find_root_solver(fun, lo, hi, xatol, 1e-15,
+                                            maxiter)
+        assert np.array_equal(x, want_x, equal_nan=True)
+        assert np.array_equal(ok, want_ok)
+        assert ok.any() and not ok.all()

@@ -5,15 +5,21 @@ magnitude g must match the empirical mean of the unit-vector kernel within
 three standard errors (n = 10^6, fixed seeds).
 """
 
+import csv
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import georank as gr
 from georank.errors import (DimensionMismatchError, DomainError,
                             NonConvergenceError, ParseError,
                             UnsupportedVariantError)
-from georank.measures import _row_norms
+from georank.measures import _parse_plain, _read_rows, _read_table, _row_norms
 
 FAMILIES = [("gaussian", 2), ("gaussian", 3), ("cauchy", 2), ("cauchy", 3)]
 
@@ -331,6 +337,133 @@ def test_csv_crlf_line_endings(tmp_path):
     m = gr.empirical_from_csv(p)
     assert m.atoms.shape == (2, 2)
     assert np.allclose(m.weights, [0.5, 0.5])
+
+
+def _outcome(read, path):
+    """(header, data dtype, shape and bytes) or the ParseError message of
+    one reader, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            header, data = read(path)
+        except ParseError as exc:
+            return str(exc)
+    return header, data.dtype.str, data.shape, data.tobytes()
+
+
+def _both_readers(path):
+    """`_read_table` and the row parser alone, on the same file."""
+    return (_outcome(_read_table, path),
+            _outcome(lambda p: _read_rows(p, None), path))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER = st.one_of(
+    _FINITE.map(lambda v: "%.17g" % v), _FINITE.map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0.0", "0", "+0", "4.9e-324", "2.2250738585072014e-308",
+                     "1e-400", ".5", "5.", "1E3", "-1.5e+300"]))
+_ODD_CELL = st.sampled_from([
+    "", " ", "x1", "nan", "NaN", "inf", "-inf", "Infinity", "1e400", "1_0",
+    " 1.5 ", "\t2", "2\x0c", "\u00a03", "\u0663", "\uff11", '"1"', '"1,5"',
+    "1\x002", "#4", "2#4", "0x10", "1e", "+-1", "1 2", "--1", "1\x0c2",
+    "1\x1e2", "3\u20284", "5\x85"])
+_CELL = st.one_of(_NUMBER, _NUMBER, _NUMBER, _ODD_CELL)
+_SKIPPED = st.sampled_from(["", "  ", ",,", " , ,", "# a comment", "  #x,1",
+                            "#", "\t"])
+
+
+@st.composite
+def _csv_files(draw):
+    width = draw(st.integers(1, 4))
+    cells = st.lists(_CELL, min_size=width, max_size=width)
+    ragged = st.lists(_CELL, min_size=1, max_size=5)
+    row = st.one_of(cells, cells, cells, ragged).map(",".join)
+    lines = draw(st.lists(st.one_of(row, row, row, _SKIPPED), max_size=8))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, min(2, len(lines)))),
+                     ",".join(draw(st.sampled_from(
+                         [["x1", "x2"], ["u", "radius"], ["a"], ["x", "1"]]))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):           # one line end for the whole file
+        ends = [ends[0]] * len(ends) if ends else ends
+    text = "".join(ln + end for ln, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return text.encode("utf-8")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_csv_files())
+def test_loadtxt_path_equals_row_parser(data):
+    # the same header and bits, or the same ParseError, and no warning
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        fast, rows = _both_readers(path)
+    assert fast == rows
+
+
+@pytest.mark.parametrize("text", [
+    "x1,x2\r\n0.5,-0.25\r\n\r\n# note\r\n,,\r\n-1,2\r\n",
+    "# written by np.savetxt\n1, 2 \n 3,4\n\n",
+    "u1,u2,radius,rank_norm\r0,1,2.5,0.5\r-0.0,1e-310,3,4",
+    "1\n2\n3\n",
+])
+def test_plain_text_takes_the_loadtxt_path(tmp_path, text):
+    # blank, comment and ',,' lines, a header, CRLF, CR and padded cells
+    # stay on the one-call path, and give the row parser's arrays
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    assert _parse_plain(text) is not None
+    fast, rows = _both_readers(path)
+    assert fast == rows
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1,x2\n", "no data rows"),
+    ("x1,x2\n# only a comment\n,,\n", "no data rows"),
+    ("x1,x2\n1,2\n3\n", "row 3 has 1 columns, expected 2"),
+    ("1,2\n3,1_0x\n", "row 2, column 2: not a number"),
+    ('1,2\n"3",nan\n', "row 2, column 2: not a finite number"),
+    ("1,2\r\n3,inf\r\n", "row 2, column 2: not a finite number"),
+    ("1,2\n3,\x004\n", "row 2, column 2: not a number"),
+    ("1,2\n3,4#5\n", "row 2, column 2: not a number"),
+    ("1,2\n3\x0c4,5\n", "row 2, column 1: not a number"),
+])
+def test_row_parser_names_what_the_loadtxt_path_refuses(tmp_path, text,
+                                                        message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    fast, rows = _both_readers(path)
+    assert fast == rows == f"{path}: {message}"
+
+
+def test_quoted_and_underscored_cells_read_as_the_row_parser_reads_them(
+        tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('x,y\n1_0,"2"\n')
+    header, data = _read_table(path)
+    assert header == ["x", "y"] and np.array_equal(data, [[10.0, 2.0]])
+
+
+def test_reader_errors_keep_their_text(tmp_path):
+    # a decode error past the first chunk names the offset the row parser
+    # names, and a line past csv's field limit is refused by both paths
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,2\n" * 5000 + b"\xff,1\n")
+    fast, rows = _both_readers(bad)
+    assert fast == rows and "cannot read" in fast
+    wide = tmp_path / "wide.csv"
+    wide.write_text("1," + "0" * 200 + "1\n")
+    limit = csv.field_size_limit(100)
+    try:
+        fast, rows = _both_readers(wide)
+    finally:
+        csv.field_size_limit(limit)
+    assert fast == rows and "field larger than field limit" in fast
 
 
 def test_box_muller_normality_ks():
