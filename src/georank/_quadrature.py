@@ -1,5 +1,6 @@
 """Internal quadrature helpers: Gauss-Legendre segments, sphere product rules,
-and oscillatory integrals against the Bessel function J0.
+the blocked loop over rings of points around centres, and oscillatory
+integrals against the Bessel function J0.
 
 Everything here is deterministic; rules are cached by their defining integers.
 """
@@ -11,6 +12,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import j0 as _j0, jn_zeros as _jn_zeros
 
 from .errors import DecayError
+
+# pairs per kernel block (rankfield) and points per ring block: d + 1
+# arrays of a block fit in L2
+_EVAL_BLOCK = 32_768
 
 
 @lru_cache(maxsize=64)
@@ -62,10 +67,13 @@ def sphere_rule(d: int, n_polar: int = 48, n_azimuth: int = 96):
     """Product quadrature on the unit sphere S^{d-1}.
 
     Gauss-Legendre in each polar angle (weight sin^{d-2-j}), uniform in
-    azimuth.  Weights sum to the sphere surface area.  d >= 2.
+    azimuth.  Weights sum to the sphere surface area.  S^0 is the two
+    directions +1 and -1, each of weight 1, whatever n_polar and n_azimuth.
     """
-    if d < 2:
-        raise ValueError("sphere_rule requires d >= 2")
+    if d < 1:
+        raise ValueError("sphere_rule requires d >= 1")
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
     if d == 2:
         return circle_rule(n_azimuth)
     # polar angles theta_1..theta_{d-2} in [0, pi], azimuth in [0, 2pi)
@@ -87,6 +95,28 @@ def sphere_rule(d: int, n_polar: int = 48, n_azimuth: int = 96):
             new_w[sl] = tw[i] * (st[i] ** power) * w
         pts, w = new_pts, new_w
     return pts, w
+
+
+def ring_blocks(centres, radii, omega):
+    """The one (centre, ring) loop behind every spherical quadrature.
+
+    `centres` is (m, d); `radii` is one vector (n,) of ring radii shared by
+    every centre, or one row (m, n) per centre; `omega` (p, d) holds the
+    directions of a sphere rule.  The rings, centre by centre with the ring
+    index fastest, are cut into blocks of at most _EVAL_BLOCK points, or of
+    one ring where a ring alone is larger.  Yields, per block, the centre
+    indices i and ring indices k of its rings and their points
+    z = c_i + r_ik omega, (len(i), p, d).  It knows no integrand: callers
+    reduce each ring against their weights.
+    """
+    radii = np.asarray(radii, dtype=float)
+    n_rings = radii.shape[-1]
+    n_total = len(centres) * n_rings
+    step = max(1, _EVAL_BLOCK // len(omega))
+    for lo in range(0, n_total, step):
+        i, k = np.divmod(np.arange(lo, min(lo + step, n_total)), n_rings)
+        r = radii[k] if radii.ndim == 1 else radii[i, k]
+        yield i, k, centres[i, None, :] + r[:, None, None] * omega[None, :, :]
 
 
 # ---------------------------------------------------------------------------

@@ -503,13 +503,11 @@ def _read_table(path):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
-    except UnicodeDecodeError:
-        # the row parser reads line by line and reports the byte offset
-        # within the chunk it decoded, as it always has
-        text = None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # one decode of the whole file: a decode error names its byte offset
+        # within the file
         raise ParseError(f"{path}: cannot read: {exc}") from exc
-    if text is not None and '"' not in text and "\0" not in text:
+    if '"' not in text and "\0" not in text:
         table = _parse_plain(text)
         if table is not None:
             return table
@@ -549,14 +547,11 @@ def _parse_plain(text):
 
 
 def _read_rows(path, text):
-    """`_read_table` row by row with csv.reader, on `text`, or on the file
-    when `text` is None."""
+    """`_read_table` row by row with csv.reader, on the file's `text`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with (open(path, newline="", encoding="utf-8") if text is None
-              else io.StringIO(text, newline="")) as fh:
-            reader = csv.reader(fh)
-            lines = [(reader.line_num, row) for row in reader]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        lines = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     header, rows = None, []
     for i, row in lines:

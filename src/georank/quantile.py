@@ -72,6 +72,22 @@ def _weiszfeld_step(atoms, weights, alpha_u, x):
     return num / den
 
 
+def _atom_minimizer(ev: RankEvaluator, alpha_u, x):
+    """The atom z nearest x when it minimizes the objective, else None.
+
+    At an atom the objective has the subgradient R(z) - alpha u + w_z B,
+    with B the unit ball and w_z the weight at z: R(z) omits z's own term,
+    because the kernel vanishes on the diagonal.  So z is the minimizer
+    when |R(z) - alpha u| <= w_z, and then no point solves R(x) = alpha u.
+    """
+    atoms, weights = ev.atoms()
+    gap = atoms - x
+    j = int(np.argmin(np.einsum("ij,ij->i", gap, gap)))
+    z = atoms[j].copy()
+    w_z = float(weights[np.all(atoms == z, axis=1)].sum())
+    return z if np.linalg.norm(ev.rank(z) - alpha_u) <= w_z else None
+
+
 def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
                    tol: float = None, trace: list = None) -> np.ndarray:
     """Point x with |R(x) - alpha u| <= tol.
@@ -82,7 +98,11 @@ def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
     backtracking line search on the convex objective, falling back to a
     Weiszfeld fixed-point step whenever the Newton step stalls or the
     Jacobian is singular or undefined (on an atom).  One second-order rank
-    pass per trial point gives its objective, rank and Jacobian.  When
+    pass per trial point gives its objective, rank and Jacobian.  Where a
+    Newton step is rejected, and before giving up, the atom nearest the
+    iterate is returned when it passes the subgradient test of
+    ``_atom_minimizer``: there the minimizer is an atom, and no point
+    solves the rank equation.  When
     ``trace`` is a list, the objective value of every accepted iterate is
     appended to it; a NonConvergenceError carries the same values as
     ``history``.
@@ -122,6 +142,9 @@ def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
                     break
                 t *= 0.5
         if step is None:
+            z = _atom_minimizer(ev, alpha_u, x)
+            if z is not None:
+                return z
             cand = _weiszfeld_step(atoms, weights, alpha_u, x)
             fc, rc, jc = _newton_pass(ev, q, cand)
             if fc > fx + 1e-15 and np.linalg.norm(cand - x) > 1e-15:
@@ -136,6 +159,9 @@ def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
     res = float(np.linalg.norm(rank - alpha_u))
     if res <= tol:
         return x
+    z = _atom_minimizer(ev, alpha_u, x)
+    if z is not None:
+        return z
     raise NonConvergenceError(
         f"quantile solver stopped after {_MAX_ITERS} iterations with "
         f"residual {res:.3e}", residual=res, history=history[start:])

@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _write
+from ._quadrature import _EVAL_BLOCK
 from .errors import (BudgetError, DomainError, ParseError, SingularityError,
                      StencilOverflowError, UnsupportedVariantError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
@@ -22,7 +23,6 @@ from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
 
 _ATOM_TOL = 1e-12
 _GRID_NODE_CAP = 10_000_000
-_EVAL_BLOCK = 32_768      # pairs per kernel block: d + 1 arrays fit in L2
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,15 @@ from scipy.special import j0
 
 from . import _write
 from . import specfun as sf
-from ._quadrature import (bessel_j0_integral, circle_rule, geometric_edges,
-                          gl_nodes, gl_segments, sphere_rule)
+from ._quadrature import (_EVAL_BLOCK, bessel_j0_integral, circle_rule,
+                          geometric_edges, gl_nodes, gl_segments, ring_blocks,
+                          sphere_rule)
 from .errors import (BudgetError, ConfigError, DecayError, ParityError,
                      ParseError, ToleranceError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
                        _read_table, _row_norms, density as measure_density,
                        radial_profile)
-from .rankfield import (_EVAL_BLOCK, RankEvaluator, VectorGridField,
+from .rankfield import (RankEvaluator, VectorGridField,
                         _neg_laplacian, _pair_blocks, _rank_sum,
                         fd_divergence, fd_laplacian, sample_grid)
 
@@ -312,15 +313,10 @@ def half_laplacian_singular(u, d: int, x, cfg: ReconstructionConfig,
     n_rings = len(rn)
     ux = u(pts)
 
-    # rows are (point, ring) pairs, ring index fastest
-    rings = np.empty(len(pts) * n_rings)
-    step = max(1, _EVAL_BLOCK // len(omega))
-    for lo in range(0, len(rings), step):
-        i, k = np.divmod(np.arange(lo, min(lo + step, len(rings))), n_rings)
-        z = pts[i, None, :] + rn[k, None, None] * omega[None, :, :]
+    terms = np.empty((len(pts), n_rings))
+    for i, k, z in ring_blocks(pts, rn, omega):
         uz = u(z.reshape(-1, d)).reshape(len(i), -1)
-        rings[lo:lo + len(i)] = (ux[i, None] - uz) @ w_ang
-    terms = rings.reshape(len(pts), n_rings)
+        terms[i, k] = (ux[i, None] - uz) @ w_ang
     terms *= rw
     terms /= rn ** 2
     total = np.zeros(len(pts))
@@ -514,7 +510,9 @@ def poisson_smooth(measure: Measure, pts: np.ndarray, t: float) -> np.ndarray:
     """-d/dt of the harmonic extension of the embedded measure, at height t:
     C_d * E[ t / (|x - Z|^2 + t^2)^{(d+1)/2} ].  Converges to the density as
     t -> 0+.  Exact sum for atoms (a Poisson-kernel density estimate),
-    quadrature against the density otherwise."""
+    quadrature against the density otherwise: each point keeps its own
+    polar rule and sum, and the density sees the rings of every point in
+    blocks from ring_blocks."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d = pts.shape[1]
     C = _poisson_constant(d)
@@ -535,19 +533,32 @@ def poisson_smooth(measure: Measure, pts: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"unsupported measure {type(measure).__name__}")
 
     omega, w_ang = (circle_rule(64) if d == 2 else sphere_rule(d, 24, 48))
+    rules = [_poisson_radial_rule(float(np.linalg.norm(x)), t) for x in pts]
     out = np.empty(pts.shape[0])
-    for i, x in enumerate(pts):
-        r_out = float(np.linalg.norm(x)) + 60.0
-        knee = min(64.0 * t, r_out)
-        edges = [0.0] + list(geometric_edges(t / 8.0, knee))
-        if knee < r_out:
-            edges += list(np.linspace(knee, r_out, 24)[1:])
-        rn, rw = gl_segments(np.array(edges), 16)
-        q = x[None, None, :] + rn[:, None, None] * omega[None, :, :]
-        fz = dens(q.reshape(-1, d)).reshape(len(rn), -1) @ w_ang
-        kern = t / (rn * rn + t * t) ** ((d + 1) / 2.0)
-        out[i] = C * np.sum(rw * kern * fz * rn ** (d - 1))
+    # the rule's length depends on |x| only where 64 t reaches past |x| + 60
+    for n in {len(rn) for rn, _ in rules}:
+        idx = [j for j, (rn, _) in enumerate(rules) if len(rn) == n]
+        fz = np.empty((len(idx), n))
+        for i, k, z in ring_blocks(pts[idx], [rules[j][0] for j in idx],
+                                   omega):
+            fz[i, k] = dens(z.reshape(-1, d)).reshape(len(i), -1) @ w_ang
+        for row, j in enumerate(idx):
+            rn, rw = rules[j]
+            kern = t / (rn * rn + t * t) ** ((d + 1) / 2.0)
+            out[j] = C * np.sum(rw * kern * fz[row] * rn ** (d - 1))
     return out
+
+
+def _poisson_radial_rule(r_x: float, t: float):
+    """Radial rule of the Poisson quadrature around a point at |x| = r_x:
+    geometric segments from t/8 up to a knee at 64 t, then 23 uniform ones
+    out to r_x + 60, with 16 Gauss-Legendre nodes each."""
+    r_out = r_x + 60.0
+    knee = min(64.0 * t, r_out)
+    edges = [0.0] + list(geometric_edges(t / 8.0, knee))
+    if knee < r_out:
+        edges += list(np.linspace(knee, r_out, 24)[1:])
+    return gl_segments(np.array(edges), 16)
 
 
 def reconstruct_extension(ev_or_measure, cfg: ReconstructionConfig
@@ -671,70 +682,36 @@ class PolynomialBump:
         return out if np.ndim(x) > 1 else out[0]
 
 
-def _pairing_d1(ev, psi, n_gl=64):
-    c, a = float(psi.center[0]), psi.radius
-    breaks = {c - a, c + a}
-    if ev.mode == "exact":
-        # the rank jumps at atoms; split the quadrature there
-        atoms, _ = ev.atoms()
-        breaks |= {float(z) for z in atoms[:, 0] if c - a < float(z) < c + a}
-    breaks = sorted(breaks)
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        xn, wn = gl_nodes(lo, hi, n_gl)
-        rp = ev.rank_many(xn[:, None])[:, 0]
-        dpsi = psi.gradient(xn[:, None])[:, 0]
-        total += float(np.sum(wn * rp * (-0.5) * dpsi))
-    return total
-
-
-def _pairing_d3_atoms(atoms, weights, psi, n_radial=48, n_polar=32,
-                      n_azimuth=64):
-    gd = sf.gamma_d(3)
-    omega, w_ang = sphere_rule(3, n_polar, n_azimuth)
-    near = np.linalg.norm(atoms - psi.center, axis=1) <= psi.radius + 1e-9
-    total = 0.0
-    for atom, w in zip(atoms[near], weights[near]):
-        # kernel discontinuity sits inside supp psi: spherical
-        # coordinates around the atom make the integrand smooth per ray
-        r_out = float(np.linalg.norm(atom - psi.center)) + psi.radius + 1e-9
-        rn, rw = gl_nodes(0.0, r_out, n_radial)
-        pts = atom[None, None, :] + rn[:, None, None] * omega[None, :, :]
-        v = psi.grad_laplacian(pts.reshape(-1, 3)).reshape(len(rn), -1, 3)
-        proj = np.einsum("rak,ak->ra", v, omega)
-        total += w * gd * float(np.sum(rw * (rn ** 2) * (proj @ w_ang)))
-    # atoms outside supp psi: their summed field is smooth on its ball (~0)
-    far = lambda pts: _rank_sum(pts, atoms[~near], weights[~near])
-    return total + _pairing_d3_field(far, psi, n_radial, n_polar, n_azimuth)
-
-
-def _pairing_d3_field(rank_many, psi, n_radial=48, n_polar=32, n_azimuth=64):
-    gd = sf.gamma_d(3)
-    omega, w_ang = sphere_rule(3, n_polar, n_azimuth)
-    rn, rw = gl_nodes(0.0, psi.radius, n_radial)
-    pts = psi.center[None, None, :] + rn[:, None, None] * omega[None, :, :]
-    flat = pts.reshape(-1, 3)
-    rp = rank_many(flat)
-    v = psi.grad_laplacian(flat)
-    dots = (rp * v).sum(axis=1).reshape(len(rn), -1)
-    return gd * float(np.sum(rw * (rn ** 2) * (dots @ w_ang)))
-
-
 def verify_identity_on_test_function(psi: PolynomialBump, ev: RankEvaluator,
                                      n_radial: int = 48, n_polar: int = 32,
                                      n_azimuth: int = 64,
                                      quad_budget: int = 10_000_000) -> float:
     """Residual of the weak-form reconstruction identity on a test function:
 
-        | int psi dP  -  int (R(x), (L† psi)(x)) dx |
+        | int psi dP  -  int (R(x), V(x)) dx |,   V = L† psi,
 
     with L† = -gamma_d grad (-Delta)^{(d-1)/2} (the divergence contributes
-    one sign flip under integration by parts).  Odd d only, where L† needs
-    no fractional derivative of psi; d in {1, 3} are implemented.  Works for
-    atomic measures, where no pointwise reconstruction exists.  The residual
-    converges to 0 under quadrature refinement (raise n_radial/n_polar/
-    n_azimuth); BudgetError when the requested rule exceeds quad_budget
-    evaluation points.
+    one sign flip under integration by parts): V = -gamma_1 psi' in d = 1
+    and gamma_3 grad Laplacian psi in d = 3.  Odd d only, where L† needs no
+    fractional derivative of psi; d in {1, 3} are implemented.  Works for
+    every measure, atomic ones included, where no pointwise reconstruction
+    exists.  Two passes of spherical quadrature on ring_blocks:
+
+    * atom pass: rings around each atom c inside supp psi, out to
+      |c - center| + radius, pair the atom's kernel, which is omega on the
+      ray c + r omega, with V;
+    * ball pass: rings around the centre of psi out to its radius pair the
+      rest of R with V: the summed field of the atoms outside supp psi, or
+      the whole field of a density or of its Monte-Carlo cloud.  For a
+      measure with a density it also integrates psi dP.
+
+    Both passes use n_radial Gauss-Legendre radii per ring set and the
+    sphere rule sphere_rule(d, n_polar, n_azimuth); in d = 1 that rule is
+    the two directions +-1, so n_polar and n_azimuth do not apply.  The
+    residual converges to 0 under refinement of each of them.  quad_budget
+    counts the evaluation points of both passes, n_radial times the sphere
+    rule's size per ring set (one per atom inside supp psi, plus the ball);
+    BudgetError when the rule exceeds it.
     """
     d = ev.d
     if d % 2 == 0:
@@ -745,36 +722,44 @@ def verify_identity_on_test_function(psi: PolynomialBump, ev: RankEvaluator,
         raise ValueError("implemented for d in {1, 3}")
     if psi.d != d:
         raise ValueError("test function dimension mismatch")
+    # V = gamma_d U, the only place where d matters
+    U = psi.grad_laplacian if d == 3 else (lambda x: -psi.gradient(x))
+    omega, w_ang = sphere_rule(d, n_polar, n_azimuth)
+    atomic = isinstance(ev.measure, Empirical)
+    atoms, weights = ((ev.measure.atoms, ev.measure.weights) if atomic
+                      else (np.empty((0, d)), np.empty(0)))
+    gap = np.linalg.norm(atoms - psi.center, axis=1)
+    near = gap <= psi.radius + 1e-9
+    cost = (np.count_nonzero(near) + 1) * n_radial * len(omega)
+    if cost > quad_budget:
+        raise BudgetError(f"{cost} quadrature points exceed the budget of "
+                          f"{quad_budget}")
 
-    if isinstance(ev.measure, Empirical):
-        atoms, weights = ev.measure.atoms, ev.measure.weights
-        if d == 3:
-            cost = atoms.shape[0] * n_radial * n_polar * n_azimuth
-            if cost > quad_budget:
-                raise BudgetError(
-                    f"{cost} quadrature points exceed the budget of "
-                    f"{quad_budget}")
-        lhs = float(np.dot(psi.value(atoms), weights))
-        if d == 1:
-            rhs = _pairing_d1(ev, psi)
-        else:
-            rhs = _pairing_d3_atoms(atoms, weights, psi, n_radial=n_radial,
-                                    n_polar=n_polar, n_azimuth=n_azimuth)
-        return abs(lhs - rhs)
+    # atom pass: the kernel's jump sits at the centre of its rings, so each
+    # ray sees a smooth integrand
+    r_out = gap[near] + psi.radius + 1e-9
+    x01, w01 = gl_nodes(0.0, 1.0, n_radial)
+    rn, rw = np.outer(r_out, x01), np.outer(r_out, w01)
+    rings = np.empty(rn.shape)
+    for i, k, z in ring_blocks(atoms[near], rn, omega):
+        v = U(z.reshape(-1, d)).reshape(z.shape)
+        rings[i, k] = np.einsum("rak,ak->ra", v, omega) @ w_ang
+    rhs = float(weights[near] @ np.sum(rw * rn ** (d - 1) * rings, axis=1))
 
-    # measures with a density: quadrature for both sides over supp psi
-    if d == 1:
-        rhs = _pairing_d1(ev, psi)
-        xn, wn = gl_nodes(psi.center[0] - psi.radius,
-                          psi.center[0] + psi.radius, 256)
-        lhs = float(np.sum(wn * measure_density(ev.measure, xn[:, None])
-                           * psi.value(xn[:, None])))
-        return abs(lhs - rhs)
-    omega, w_ang = sphere_rule(3, 32, 64)
-    rn, rw = gl_nodes(0.0, psi.radius, 48)
-    pts = psi.center[None, None, :] + rn[:, None, None] * omega[None, :, :]
-    flat = pts.reshape(-1, 3)
-    fx = measure_density(ev.measure, flat) * psi.value(flat)
-    lhs = float(np.sum(rw * rn ** 2 * (fx.reshape(len(rn), -1) @ w_ang)))
-    rhs = _pairing_d3_field(ev.rank_many, psi)
+    # ball pass: the far atoms' field and a density's are smooth on supp
+    # psi; the jumps of a Monte-Carlo cloud's field are left to the rule
+    rest = ((lambda x: _rank_sum(x, atoms[~near], weights[~near])) if atomic
+            else ev.rank_many)
+    rn, rw = gl_nodes(0.0, psi.radius, n_radial)
+    rings = np.empty((2, n_radial))
+    for _, k, z in ring_blocks(psi.center[None, :], rn, omega):
+        x = z.reshape(-1, d)
+        rings[0, k] = (rest(x) * U(x)).sum(axis=1).reshape(len(k), -1) @ w_ang
+        if not atomic:
+            fx = measure_density(ev.measure, x) * psi.value(x)
+            rings[1, k] = fx.reshape(len(k), -1) @ w_ang
+    ball = rw * rn ** (d - 1) * rings
+    rhs = sf.gamma_d(d) * (rhs + float(np.sum(ball[0])))
+    lhs = (float(np.dot(psi.value(atoms), weights)) if atomic
+           else float(np.sum(ball[1])))
     return abs(lhs - rhs)

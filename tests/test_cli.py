@@ -590,3 +590,14 @@ def test_quantile_starting_on_an_atom(tmp_path):
     assert vals[0] == pytest.approx(1.9072, abs=1e-4)
     assert vals[1] == pytest.approx(-0.3926, abs=1e-4)
     assert vals[2] <= 1e-10
+
+
+def test_quantile_at_an_atom_exits_0_with_the_atom(tmp_path):
+    atoms = tmp_path / "five.csv"
+    atoms.write_text("0,0\n1,2\n-1,-2\n2,-1\n-2,1\n")
+    out = tmp_path / "q.csv"
+    code = run(["quantile", "--csv", str(atoms), "--alpha", "0.1",
+                "--direction", "1,0", "-o", str(out)])
+    assert code == 0
+    vals = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+    assert vals[:2] == [0.0, 0.0]

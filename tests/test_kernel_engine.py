@@ -172,3 +172,33 @@ def test_quantile_of_rank_roundtrip(cloud):
     got = gr.solve_quantile(ev, q, 1e-8)
     assert np.linalg.norm(ev.rank(got) - r) <= 1e-8
     assert np.linalg.norm(got - x) <= 1e-5
+
+
+def _off_atoms(ev, x):
+    return np.min(np.linalg.norm(ev.measure.atoms - x, axis=1)) >= 1e-3
+
+
+@_PROPERTY
+@given(clouds(), arrays(float, 3, elements=coords))
+def test_rank_of_a_shifted_cloud_at_the_shifted_point(cloud, shift):
+    # R_{P+c}(x + c) = R_P(x)
+    ev, x = cloud
+    assume(_off_atoms(ev, x))
+    c = shift[:ev.d]
+    moved = gr.RankEvaluator(gr.Empirical(ev.measure.atoms + c,
+                                          ev.measure.weights))
+    np.testing.assert_allclose(moved.rank(x + c), ev.rank(x), rtol=0,
+                               atol=1e-12)
+
+
+@_PROPERTY
+@given(clouds())
+def test_rank_of_a_symmetrized_cloud_is_odd(cloud):
+    # P and its reflection -P with equal weights: R(-x) = -R(x)
+    ev, x = cloud
+    atoms, w = ev.measure.atoms, ev.measure.weights
+    sym = gr.RankEvaluator(gr.Empirical(np.vstack([atoms, -atoms]),
+                                        np.concatenate([w, w]) / 2.0))
+    assume(_off_atoms(sym, x))
+    np.testing.assert_allclose(sym.rank(-x), -sym.rank(x), rtol=0,
+                               atol=1e-12)

@@ -351,10 +351,15 @@ def _outcome(read, path):
     return header, data.dtype.str, data.shape, data.tobytes()
 
 
+def _row_parser(path):
+    """The row parser alone, on the text of the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _read_rows(path, fh.read())
+
+
 def _both_readers(path):
     """`_read_table` and the row parser alone, on the same file."""
-    return (_outcome(_read_table, path),
-            _outcome(lambda p: _read_rows(p, None), path))
+    return (_outcome(_read_table, path), _outcome(_row_parser, path))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -449,13 +454,17 @@ def test_quoted_and_underscored_cells_read_as_the_row_parser_reads_them(
     assert header == ["x", "y"] and np.array_equal(data, [[10.0, 2.0]])
 
 
-def test_reader_errors_keep_their_text(tmp_path):
-    # a decode error past the first chunk names the offset the row parser
-    # names, and a line past csv's field limit is refused by both paths
+def test_decode_error_names_the_byte_offset_in_the_file(tmp_path):
+    # 0xff at byte 20 000, far past the first chunk a line reader decodes
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"1,2\n" * 5000 + b"\xff,1\n")
-    fast, rows = _both_readers(bad)
-    assert fast == rows and "cannot read" in fast
+    msg = _outcome(_read_table, bad)
+    assert msg.startswith(f"{bad}: cannot read: ")
+    assert "byte 0xff in position 20000:" in msg
+
+
+def test_reader_errors_keep_their_text(tmp_path):
+    # a line past csv's field limit is refused by both paths
     wide = tmp_path / "wide.csv"
     wide.write_text("1," + "0" * 200 + "1\n")
     limit = csv.field_size_limit(100)

@@ -199,6 +199,37 @@ def test_quantile_starting_on_an_atom_takes_a_weiszfeld_step():
     np.testing.assert_array_equal(ev.coordinatewise_median, FIVE[0])
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+def test_quantile_at_an_atom_is_the_atom(alpha):
+    # R(0) = 0 without the origin's own term, and |0 - alpha u| <= 1/5, its
+    # weight: 0 is in the objective's subgradient at the origin, and no
+    # point solves R(x) = alpha u
+    ev = gr.RankEvaluator(gr.Empirical(FIVE))
+    x = gr.solve_quantile(ev, gr.QuantileQuery(alpha, np.array([1.0, 0.0])))
+    assert x.tolist() == [0.0, 0.0]
+    # a solve that converges keeps its bits
+    x = gr.solve_quantile(ev, gr.QuantileQuery(0.6, np.array([1.0, 0.0])))
+    assert x.tolist() == [1.9071624940423231, -0.39258505474699035]
+
+
+def test_quantile_at_an_atom_is_tested_before_giving_up(monkeypatch):
+    # no iteration at all: the start is the origin atom, which the solver
+    # tests before it raises; at alpha = 0.6 the atom fails the test
+    monkeypatch.setattr(quantile, "_MAX_ITERS", 0)
+    ev = gr.RankEvaluator(gr.Empirical(FIVE))
+    x = gr.solve_quantile(ev, gr.QuantileQuery(0.1, np.array([1.0, 0.0])))
+    assert x.tolist() == [0.0, 0.0]
+    with pytest.raises(NonConvergenceError):
+        gr.solve_quantile(ev, gr.QuantileQuery(0.6, np.array([1.0, 0.0])))
+
+
+def test_quantile_at_a_repeated_atom_counts_every_copy():
+    # two copies at the origin weigh 1/3 together, more than alpha = 0.3
+    ev = gr.RankEvaluator(gr.Empirical(np.vstack([FIVE, FIVE[:1]])))
+    x = gr.solve_quantile(ev, gr.QuantileQuery(0.3, np.array([0.0, 1.0])))
+    assert x.tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_second_order_pass_equals_objective_rank_and_jacobian(monkeypatch,
                                                                d):

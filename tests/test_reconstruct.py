@@ -10,8 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 import georank as gr
-from georank import reconstruct
-from georank._quadrature import bessel_j0_integral
+from georank import _quadrature, reconstruct
+from georank._quadrature import bessel_j0_integral, sphere_rule
 from georank.errors import (ConfigError, DecayError, ParityError,
                             ToleranceError)
 
@@ -140,14 +140,14 @@ def _half_laplacian_per_point(u, x, cfg, tail_coef):
     return gr.c_ds(2, 0.5) * total
 
 
-@pytest.mark.parametrize("block", [reconstruct._EVAL_BLOCK, 40 * 64, 4 * 64])
+@pytest.mark.parametrize("block", [_quadrature._EVAL_BLOCK, 40 * 64, 4 * 64])
 @pytest.mark.parametrize("fam", ["gaussian", "cauchy"])
 def test_singular_batch_equals_per_point_reference(fam, block, monkeypatch):
     # calls of 512 rings (the default), of 40, which split points and radial
     # segments, and of 4; whole groups of four rows, as in the per-segment
     # calls of 48 and 24 rings, keep the row grouping of BLAS matrix-vector
     # products and with it every bit
-    monkeypatch.setattr(reconstruct, "_EVAL_BLOCK", block)
+    monkeypatch.setattr(_quadrature, "_EVAL_BLOCK", block)
     ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
     radii = np.array([0.0, 0.3, 1.0, 1.75])
     pts = np.column_stack([radii, np.zeros(4)])
@@ -170,6 +170,26 @@ def test_singular_batch_equals_per_point_reference(fam, block, monkeypatch):
     assert isinstance(one, float) and one == got[3]
 
 
+@pytest.mark.parametrize("block", [_quadrature._EVAL_BLOCK, 5 * 4, 3])
+def test_ring_blocks_visit_every_ring_once(block, monkeypatch):
+    # all nine rings in one block, blocks of 5 rings, and one ring per block
+    # where a ring alone is larger; radii shared by every centre, or one row
+    # per centre
+    monkeypatch.setattr(_quadrature, "_EVAL_BLOCK", block)
+    centres = np.array([[0.0, 0.0], [1.0, -2.0], [0.5, 3.0]])
+    omega = _quadrature.circle_rule(4)[0]
+    shared = np.array([0.1, 0.5, 1.0])
+    for radii in (shared, np.outer([1.0, 2.0, 3.0], shared)):
+        seen = np.zeros((3, 3), dtype=int)
+        for i, k, z in _quadrature.ring_blocks(centres, radii, omega):
+            assert z.shape == (len(i), 4, 2) and z.size <= max(block, 4) * 2
+            r = radii[k] if radii.ndim == 1 else radii[i, k]
+            np.testing.assert_array_equal(
+                z, centres[i, None] + r[:, None, None] * omega)
+            seen[i, k] += 1
+        assert (seen == 1).all()
+
+
 def test_singular_ring_larger_than_block(monkeypatch):
     # one ring per call when a ring alone exceeds the block
     ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
@@ -178,7 +198,7 @@ def test_singular_ring_larger_than_block(monkeypatch):
     cfg = CFG(method="singular")
     want = gr.half_laplacian_singular(ufunc, 2, cloud, cfg, tail)
     sizes = []
-    monkeypatch.setattr(reconstruct, "_EVAL_BLOCK", 10)
+    monkeypatch.setattr(_quadrature, "_EVAL_BLOCK", 10)
     got = gr.half_laplacian_singular(
         lambda q: sizes.append(len(q)) or ufunc(q), 2, cloud, cfg, tail)
     assert set(sizes[1:]) == {cfg.n_theta}
@@ -377,6 +397,45 @@ def test_poisson_smooth_matches_quad_oracle():
     assert abs(got - 1.0 / (2 * np.pi)) <= 2e-3
 
 
+def _poisson_per_point(dens, x, t):
+    """The Poisson quadrature of a density at one point, one polar rule
+    and one call of the density."""
+    d = x.shape[0]
+    omega, w_ang = (gr.reconstruct.circle_rule(64) if d == 2
+                    else sphere_rule(d, 24, 48))
+    r_out = float(np.linalg.norm(x)) + 60.0
+    knee = min(64.0 * t, r_out)
+    edges = [0.0] + list(gr.reconstruct.geometric_edges(t / 8.0, knee))
+    if knee < r_out:
+        edges += list(np.linspace(knee, r_out, 24)[1:])
+    rn, rw = gr.reconstruct.gl_segments(np.array(edges), 16)
+    q = x[None, None, :] + rn[:, None, None] * omega[None, :, :]
+    fz = dens(q.reshape(-1, d)).reshape(len(rn), -1) @ w_ang
+    kern = t / (rn * rn + t * t) ** ((d + 1) / 2.0)
+    return reconstruct._poisson_constant(d) * np.sum(
+        rw * kern * fz * rn ** (d - 1))
+
+
+@pytest.mark.parametrize("block", [_quadrature._EVAL_BLOCK, 4 * 64])
+def test_poisson_smooth_rings_in_blocks_equal_per_point_rules(block,
+                                                              monkeypatch):
+    # blocks of 512 and of 4 rings keep whole groups of four rows in the
+    # BLAS matrix-vector products, so each point's sum keeps every bit; at
+    # t = 1 the radial rules of the points differ in length
+    monkeypatch.setattr(_quadrature, "_EVAL_BLOCK", block)
+    pts = np.vstack([np.zeros((1, 2)),
+                     np.random.default_rng(13).standard_normal((5, 2)) * 3])
+    normal = gr.GenericDensity(
+        2, lambda q: np.exp(-0.5 * np.sum(q * q, axis=1)) / (2.0 * np.pi),
+        lambda n, rng: rng.standard_normal((n, 2)))
+    cauchy = gr.RadialClosedForm("cauchy", 2)
+    for m, dens in ((normal, normal.density),
+                    (cauchy, lambda q: gr.density(cauchy, q))):
+        for t in (0.01, 1.0):
+            want = [_poisson_per_point(dens, x, t) for x in pts]
+            assert np.array_equal(gr.poisson_smooth(m, pts, t), want)
+
+
 def test_extension_error_scaling_and_richardson():
     m = gr.RadialClosedForm("gaussian", 2)
     rep = gr.reconstruct_extension(m, CFG(method="extension",
@@ -552,6 +611,63 @@ def test_identity_quadrature_budget_error():
     psi = gr.PolynomialBump([0.0, 0.0, 0.0], 1.0, m=8)
     with pytest.raises(BudgetError):
         gr.verify_identity_on_test_function(psi, ev, quad_budget=100)
+
+
+def test_identity_on_a_density_refines_every_knob_in_d3():
+    # an off-centre bump: the ball pass's rule is coarse in each knob
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3))
+    psi = gr.PolynomialBump([0.3, -0.2, 0.4], 1.0)
+    res = lambda *rule: gr.verify_identity_on_test_function(psi, ev, *rule)
+    coarse = res(8, 6, 4)
+    assert coarse > 1e-7
+    for rule in ((16, 6, 4), (8, 12, 4), (8, 6, 8)):
+        assert abs(res(*rule) - coarse) > 2e-8
+    assert res(16, 12, 8) <= 1e-11
+    assert res() <= 1e-15
+
+
+def test_identity_on_a_monte_carlo_density_honours_n_radial_in_d1():
+    # the ball pass integrates the Monte-Carlo cloud's rank against V, and
+    # psi against the density, on n_radial radii; S^0 is the two
+    # directions +-1, so n_polar and n_azimuth do not apply
+    normal = gr.GenericDensity(
+        1, lambda x: np.exp(-0.5 * x[:, 0] ** 2) / np.sqrt(2.0 * np.pi),
+        lambda n, rng: rng.standard_normal((n, 1)))
+    ev = gr.RankEvaluator(normal, mc_n=20_000, seed=3)
+    psi = gr.PolynomialBump([0.2], 1.0)
+    res = lambda **rule: gr.verify_identity_on_test_function(psi, ev, **rule)
+    at = {n: res(n_radial=n) for n in (8, 16, 48)}
+    assert len(set(at.values())) == 3
+    assert max(at.values()) <= 3e-3          # the Monte-Carlo error
+    assert res(n_polar=3, n_azimuth=5) == at[48]
+    np.testing.assert_array_equal(sphere_rule(1, 3, 5)[0], [[1.0], [-1.0]])
+    np.testing.assert_array_equal(sphere_rule(1, 3, 5)[1], [1.0, 1.0])
+
+
+def test_identity_on_a_density_within_its_quadrature_budget():
+    from georank.errors import BudgetError
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3))
+    psi = gr.PolynomialBump([0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(BudgetError, match="98304 quadrature points"):
+        gr.verify_identity_on_test_function(psi, ev, quad_budget=100)
+    # the atom pass adds one ring set per atom inside supp psi
+    atoms = gr.RankEvaluator(gr.Empirical(np.array([[0.1, 0.0, 0.0],
+                                                    [3.0, 0.0, 0.0]])))
+    with pytest.raises(BudgetError, match="196608 quadrature points"):
+        gr.verify_identity_on_test_function(psi, atoms,
+                                            quad_budget=196_607)
+    assert gr.verify_identity_on_test_function(
+        psi, atoms, quad_budget=196_608) <= 1e-6
+
+
+def test_identity_d1_several_atoms_inside_the_support():
+    atoms = np.array([[-0.6], [-0.1], [0.25], [0.7], [1.1], [2.5]])
+    w = np.array([0.1, 0.2, 0.3, 0.15, 0.1, 0.15])
+    ev = gr.RankEvaluator(gr.Empirical(atoms, w))
+    psi = gr.PolynomialBump([0.1], 1.0)
+    assert gr.verify_identity_on_test_function(psi, ev) <= 1e-8
+    # the atom pass honours n_radial
+    assert gr.verify_identity_on_test_function(psi, ev, n_radial=8) > 1e-6
 
 
 def test_even_singular_tolerance_error_when_unattainable():
