@@ -116,7 +116,13 @@ def ring_blocks(centres, radii, omega):
     for lo in range(0, n_total, step):
         i, k = np.divmod(np.arange(lo, min(lo + step, n_total)), n_rings)
         r = radii[k] if radii.ndim == 1 else radii[i, k]
-        yield i, k, centres[i, None, :] + r[:, None, None] * omega[None, :, :]
+        # one coordinate at a time: the same sums as one broadcast over the
+        # short last axis d, at half its cost
+        z = np.empty((len(i), len(omega), centres.shape[1]))
+        for j in range(centres.shape[1]):
+            np.multiply(r[:, None], omega[:, j], out=z[:, :, j])
+            z[:, :, j] += centres[i, j, None]
+        yield i, k, z
 
 
 # ---------------------------------------------------------------------------

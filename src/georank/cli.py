@@ -61,7 +61,7 @@ _FLAGS = {
          "odd-local | singular | hankel | extension"),
         ("--radii", str, None, "evaluation radii a:b:step"),
         ("--points", str, None,
-         "CSV of evaluation points (extension)"),
+         "CSV of evaluation points (singular, extension)"),
         ("--reference", bool, False,
          "add closed-form density and error columns"),
         ("--eta", float, 1e-3, "inner cutoff of the singular integral"),
@@ -73,7 +73,10 @@ _FLAGS = {
         ("--rays", int, 64, "number of rays"),
         ("--tol", float, 1e-10, "per-ray root tolerance"),
     ],
-    "content": _COMMON_FLAGS + [
+    # content writes one JSON object, and cmd_content refuses csv
+    "content": [f if f[0] != "--format" else
+                ("--format", str, "json", "output format: json")
+                for f in _COMMON_FLAGS] + [
         ("--radius", float, None, "ball radius R"),
         ("--path", str, "analytic", "surface-integrand path: analytic | grid"),
     ],
@@ -221,9 +224,9 @@ def cmd_rank(args):
     d = ev.d
     names = [f"x{i+1}" for i in range(d)] + [f"r{i+1}" for i in range(d)]
     payload = {"points": pts, "rank": ev.rank_many(pts)}
-    if ev.mode == "exact":
+    if ev.profile is None:
         at_atom = np.zeros(pts.shape[0], dtype=int)
-        for rows, _, _, dist in _pair_blocks(pts, measure.atoms):
+        for rows, _, _, dist in _pair_blocks(pts, ev.atoms()[0]):
             at_atom[rows] |= dist.min(axis=1) < 1e-12
         names.append("at_atom")
         payload["at_atom"] = at_atom
@@ -301,6 +304,9 @@ def cmd_contour(args):
 
 
 def cmd_content(args):
+    if args.format != "json":
+        raise ConfigError(f"content writes JSON; --format {args.format} "
+                          "is refused")
     measure = _measure(args)
     ev = RankEvaluator(measure)
     _require(args, "radius")
@@ -308,7 +314,7 @@ def cmd_content(args):
         raise ConfigError("surface-integral content requires odd dimension")
     value = probability_content_surface(ev, args.radius, path=args.path)
     payload = {"radius": args.radius, "content": value, "path": args.path}
-    if isinstance(measure, RadialClosedForm):
+    if ev.profile is not None:
         payload["oracle"] = radial_content_oracle(measure, args.radius)
         payload["abs_error"] = abs(value - payload["oracle"])
     _emit(args, _write.json_text(payload))

@@ -142,19 +142,18 @@ def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     if beta == 0.0:
-        if ev.mode == "radial":
+        if ev.profile is not None:
             return DepthContour(beta, "radial", r_beta=0.0)
         dirs = _ray_directions(ev.d, n_rays)
         zero = np.zeros(n_rays)
         return DepthContour(beta, "rayfan", directions=dirs, radii=zero,
                             achieved=zero.copy())
-    if ev.mode == "radial":
+    if ev.profile is not None:
         return DepthContour(beta, "radial",
                             r_beta=float(invert_g(ev.profile, beta)))
 
-    dirs = _ray_directions(ev.d, n_rays)
-    if ev.mode in ("exact", "mc"):
-        dirs = _clear_of_atoms(dirs, ev.atoms()[0], ev.atom_norms)
+    dirs = _clear_of_atoms(_ray_directions(ev.d, n_rays), ev.atoms()[0],
+                           ev.atom_norms)
 
     def norm_rank(t, i):
         """|R(t u_i)| for rays i at distances t."""
@@ -281,7 +280,7 @@ def probability_content_surface(ev: RankEvaluator, radius: float,
         raise ValueError("implemented for d in {1, 3}")
     gd = sf.gamma_d(3)
     if path == "analytic":
-        if ev.mode != "radial":
+        if ev.profile is None:
             raise ValueError("analytic path requires a radial closed form")
         return float(gd * 4.0 * np.pi * R * R * (-ev.profile.h_prime(R)))
     if path != "grid":
@@ -324,7 +323,7 @@ def rank_norm_cdf(ev: RankEvaluator, mc_budget: int = 100_000,
 def theta_radial_exact(ev: RankEvaluator, beta: float) -> float:
     """Exact re-indexing value for radial closed forms: the probability
     content of the ball whose radius solves g(r) = beta."""
-    if ev.mode != "radial":
+    if ev.profile is None:
         raise ValueError("exact theta requires a radial closed form")
     if beta <= 0.0:
         return 0.0

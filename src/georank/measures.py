@@ -178,17 +178,21 @@ def _piecewise(r, small_fn, large_fn, cut=_R_SMALL):
     return _shaped(out, r)
 
 
-def _row_norms(pts: np.ndarray) -> np.ndarray:
-    """|x| of every row x of pts (m, d), at a fraction of the cost of
-    np.linalg.norm(pts, axis=1) on short rows.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b).sum(axis=1) for (m, d) arrays, column by column: numpy sums
+    a row of fewer than 8 entries in index order, so for d < 8 this is the
+    reduction bit for bit, at 1.5-4 ns a row against about 21."""
+    s = a[:, 0] * b[:, 0]
+    for k in range(1, a.shape[1]):
+        s += a[:, k] * b[:, k]
+    return s
 
-    The column products are summed in column order, as numpy's reduction
-    sums a row of fewer than 8 entries, so for d < 8 (every radial family
-    lives in d = 2 or 3) the result is bit-identical to np.linalg.norm.
-    """
-    s = pts[:, 0] * pts[:, 0]
-    for k in range(1, pts.shape[1]):
-        s += pts[:, k] * pts[:, k]
+
+def _row_norms(pts: np.ndarray) -> np.ndarray:
+    """|x| of every row x of pts (m, d), from `_row_dots`: for d < 8 (every
+    radial family lives in d = 2 or 3) bit-identical to
+    np.linalg.norm(pts, axis=1), at a fraction of its cost."""
+    s = _row_dots(pts, pts)
     return np.sqrt(s, out=s)
 
 
@@ -411,15 +415,16 @@ def invert_g(profile: RadialProfile, beta: float) -> float:
 
 
 def density(m: Measure, x) -> float:
-    """Density f(x); not defined for Empirical measures."""
-    if isinstance(m, Empirical):
-        raise UnsupportedVariantError("an empirical measure has no density")
+    """Density f(x) of a RadialClosedForm or a GenericDensity at a point
+    (d,) or at the rows of (m, d); an Empirical measure has none."""
     x_arr = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x_arr)
     if isinstance(m, RadialClosedForm):
         out = radial_profile(m).f(_row_norms(pts))
-    else:
+    elif isinstance(m, GenericDensity):
         out = np.asarray(m.density(pts), dtype=float)
+    else:
+        raise UnsupportedVariantError(f"{type(m).__name__} has no density")
     return out if x_arr.ndim > 1 else float(out[0])
 
 

@@ -33,16 +33,12 @@ class QuantileQuery:
 
 
 def objective(ev: RankEvaluator, q: QuantileQuery, x) -> float:
-    """O(x) = sum_i w_i (|x - z_i| - |z_i|) - alpha (u, x).
-
-    Exact for empirical measures; analytic measures use the evaluator's
-    fixed Monte-Carlo cloud (common random numbers).
+    """O(x) = sum_i w_i (|x - z_i| - |z_i|) - alpha (u, x), from the
+    second-order pass.  A sum over atoms: an Empirical's, or a
+    GenericDensity's Monte-Carlo sample (common random numbers); a closed
+    form holds no atoms and raises UnsupportedVariantError.
     """
-    x = np.asarray(x, dtype=float)
-    atoms, weights = ev.atoms()
-    g = sum(float((dist[0] - ev.atom_norms[cols]) @ weights[cols])
-            for _, cols, _, dist in _pair_blocks(x[None, :], atoms))
-    return g - q.alpha * float(np.dot(q.u, x))
+    return _newton_pass(ev, q, np.asarray(x, dtype=float))[0]
 
 
 def _newton_pass(ev: RankEvaluator, q: QuantileQuery, x: np.ndarray):
@@ -107,12 +103,12 @@ def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
     appended to it; a NonConvergenceError carries the same values as
     ``history``.
     """
-    if tol is None:
-        tol = 1e-10 if ev.mode == "exact" else 1e-8
-    if ev.mode == "radial":
+    if ev.profile is not None:
         if q.alpha == 0.0:
             return np.zeros(ev.d)
         return invert_g(ev.profile, q.alpha) * q.u
+    if tol is None:
+        tol = 1e-8 if ev.sampled else 1e-10
 
     if ev.atoms_collinear:
         raise DegenerateSupportError(

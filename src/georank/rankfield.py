@@ -130,10 +130,12 @@ def _finite_points(x):
     return x
 
 
+_AT_ATOM = f"point within {_ATOM_TOL} of an atom; derivative undefined"
+
+
 def _check_not_atom(dist):
     if dist.min() < _ATOM_TOL:
-        raise SingularityError(
-            f"point within {_ATOM_TOL} of an atom; derivative undefined")
+        raise SingularityError(_AT_ATOM)
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +225,37 @@ class VectorGridField:
 class RankEvaluator:
     """Evaluate the rank field of a measure.
 
-    The quadrature mode is inferred from the measure: exact weighted sums for
-    Empirical, closed-form radial profiles for RadialClosedForm, and a fixed
-    Monte-Carlo atom cloud for GenericDensity.  ``force_mc=True`` replaces
-    the closed form by Monte Carlo (useful for cross-checks).  The Monte-
-    Carlo sample is drawn once per evaluator (common random numbers), so the
-    resulting field is smooth in x and safe to differentiate.
+    The constructor decides once what the field is, and every route reads
+    that decision: a sum over atoms (``profile`` is None), an Empirical's
+    own or the ``mc_n``-atom sample of a GenericDensity (``sampled``),
+    drawn with ``seed`` on first use and once per evaluator, bit for bit
+    ``Empirical(sample(measure, mc_n, seed))``; or the closed-form radial
+    profile of a RadialClosedForm, which holds no atoms: ``atoms()`` and
+    so the second-order pass raise UnsupportedVariantError.  A sum over
+    atoms has no pointwise density.  ``mode`` names the decision.
     """
 
-    def __init__(self, measure: Measure, mc_n: int = 200_000, seed: int = 0,
-                 force_mc: bool = False):
+    def __init__(self, measure: Measure, mc_n: int = 200_000, seed: int = 0):
         self.measure = measure
         self.mc_n = int(mc_n)
         self.seed = int(seed)
-        if isinstance(measure, Empirical):
-            self.mode = "exact"
-        elif isinstance(measure, RadialClosedForm) and not force_mc:
-            self.mode = "radial"
-        elif isinstance(measure, (RadialClosedForm, GenericDensity)):
-            self.mode = "mc"
-        else:
+        self._profile = self._atoms = self._weights = None
+        self.sampled = isinstance(measure, GenericDensity)
+        if isinstance(measure, RadialClosedForm):
+            self._profile = radial_profile(measure)
+        elif isinstance(measure, Empirical):
+            self._atoms, self._weights = measure.atoms, measure.weights
+        elif not self.sampled:
             raise UnsupportedVariantError(
                 f"cannot evaluate ranks of {type(measure).__name__}")
-        self._profile = (radial_profile(measure)
-                         if isinstance(measure, RadialClosedForm) else None)
-        self._atoms = None
-        self._weights = None
-        if self.mode == "exact":
-            self._atoms = measure.atoms
-            self._weights = measure.weights
+
+    @property
+    def mode(self) -> str:
+        """The decision by name, derived and read-only: "exact", "mc" or
+        "radial"."""
+        if self._profile is not None:
+            return "radial"
+        return "mc" if self.sampled else "exact"
 
     @property
     def d(self) -> int:
@@ -259,13 +263,19 @@ class RankEvaluator:
 
     @property
     def profile(self):
+        """The closed-form radial profile, or None for a sum over atoms."""
         return self._profile
 
     def atoms(self):
-        """Atom cloud backing exact/Monte-Carlo sums (lazy for MC)."""
+        """(atoms, weights) of a sum over atoms, sampled on the first call
+        for a GenericDensity."""
         if self._atoms is None:
-            self._atoms = sample(self.measure, self.mc_n, self.seed)
-            self._weights = np.full(self.mc_n, 1.0 / self.mc_n)
+            if self._profile is not None:
+                raise UnsupportedVariantError(
+                    "a closed-form radial field holds no atoms, and the "
+                    "second-order pass and the quantile objective need them")
+            cloud = Empirical(sample(self.measure, self.mc_n, self.seed))
+            self._atoms, self._weights = cloud.atoms, cloud.weights
         return self._atoms, self._weights
 
     @cached_property
@@ -297,13 +307,10 @@ class RankEvaluator:
         over the atoms, with the arithmetic and order of rank_many() and
         jacobian(): phi(x) = sum_i w_i (|x - z_i| - |z_i|), whose gradient
         is R and whose Hessian is the rank Jacobian J.  J is None within
-        _ATOM_TOL of an atom, where it is undefined.  Atoms and Monte-Carlo
-        clouds only."""
+        _ATOM_TOL of an atom, where it is undefined.  Sums over atoms
+        only."""
         if not second_order:
             return self.rank_many(np.asarray(x, dtype=float)[None, :])[0]
-        if self.mode == "radial":
-            raise ValueError("the second-order pass needs atoms or a "
-                             "Monte-Carlo cloud")
         x = _finite_points(x)
         atoms, weights = self.atoms()
         d = self.d
@@ -319,7 +326,7 @@ class RankEvaluator:
 
     def rank_many(self, pts: np.ndarray) -> np.ndarray:
         pts = _finite_points(pts)
-        if self.mode == "radial":
+        if self._profile is not None:
             r = _row_norms(pts)
             return self._profile.g_over_r(r)[:, None] * pts
         return _rank_sum(pts, *self.atoms())
@@ -343,7 +350,7 @@ class RankEvaluator:
         if order > self.d:
             raise ValueError("kernel derivatives beyond |alpha| = d are not "
                              "needed and not supported")
-        if self.mode == "radial":
+        if self._profile is not None:
             return self._radial_derivative(x, alpha)
         atoms, weights = self.atoms()
         out = np.zeros(self.d)
@@ -403,7 +410,7 @@ class RankEvaluator:
 
     def divergence_many(self, pts: np.ndarray) -> np.ndarray:
         pts = _finite_points(pts)
-        if self.mode == "radial":
+        if self._profile is not None:
             return self._profile.h(_row_norms(pts))
         atoms, weights = self.atoms()
         out = np.zeros(pts.shape[0])
@@ -413,24 +420,22 @@ class RankEvaluator:
         return (self.d - 1) * out
 
     def jacobian(self, x) -> np.ndarray:
-        """Jacobian of the rank field; symmetric positive semidefinite."""
+        """Jacobian of the rank field; symmetric positive semidefinite.  On
+        atoms it is the J of the second-order pass."""
         x = _finite_points(x)
-        d = self.d
-        if self.mode == "radial":
-            r = float(np.linalg.norm(x))
-            p = self._profile
-            if r < 1e-12:
-                return p.g_prime(0.0) * np.eye(d)
-            xhat = x / r
-            goverr = p.g_over_r(r)
-            return (goverr * np.eye(d)
-                    + (p.g_prime(r) - goverr) * np.outer(xhat, xhat))
-        atoms, weights = self.atoms()
-        out = np.zeros((d, d))
-        for _, cols, diff, dist in _pair_blocks(x[None, :], atoms):
-            _check_not_atom(dist)
-            out += _jacobian_block(diff, dist, weights[cols])
-        return out
+        p = self._profile
+        if p is None:
+            jac = self.rank(x, second_order=True)[2]
+            if jac is None:
+                raise SingularityError(_AT_ATOM)
+            return jac
+        r = float(np.linalg.norm(x))
+        if r < 1e-12:
+            return p.g_prime(0.0) * np.eye(self.d)
+        xhat = x / r
+        goverr = p.g_over_r(r)
+        return (goverr * np.eye(self.d)
+                + (p.g_prime(r) - goverr) * np.outer(xhat, xhat))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ Laplacian, realized three interchangeable ways:
   via the Poisson kernel and Richardson-extrapolated in t.  For an empirical
   measure this is exactly a Poisson-kernel density estimate with bandwidth t.
 
-An empirical measure has no density: ``singular`` and the grid path of
-``odd-local`` refuse it with ConfigError, and in odd d
-``verify_identity_on_test_function`` checks the identity for it weakly.
+A rank field of atoms, an empirical measure's or a GenericDensity's
+Monte-Carlo sample, has no density: ``singular`` and ``odd-local`` refuse
+it with ConfigError, and in odd d ``verify_identity_on_test_function``
+checks the identity for it weakly.
 
 A ReconstructionReport writes the same answer as CSV (``csv_text``) and as
 JSON (``to_json_dict``): f_hat with a curve's radii, the points' f_hat, or a
@@ -46,9 +47,8 @@ from ._quadrature import (_EVAL_BLOCK, bessel_j0_integral, circle_rule,
                           sphere_rule)
 from .errors import (BudgetError, ConfigError, DecayError, ParityError,
                      ParseError, ToleranceError)
-from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
-                       _read_table, _row_norms, density as measure_density,
-                       radial_profile)
+from .measures import (Empirical, Measure, _read_table, _row_dots, _row_norms,
+                       density as measure_density)
 from .rankfield import (RankEvaluator, VectorGridField,
                         _neg_laplacian, _pair_blocks, _rank_sum,
                         fd_divergence, fd_laplacian, sample_grid)
@@ -119,33 +119,34 @@ class ReconstructionReport:
     def to_json_dict(self) -> dict:
         """The report's JSON payload for `_write.json_text`, arrays kept as
         arrays: method, config, kind, diagnostics and f_hat, with a curve's
-        r (and f_reference when set), or a grid's origin, spacing and shape,
-        its f_hat in row-major node order as in the CSV."""
+        r, f_reference when set, or a grid's origin, spacing and shape, its
+        f_hat in row-major node order as in the CSV."""
         out = {"method": self.method, "config": self.config,
                "kind": self.kind, "diagnostics": self.diagnostics,
                "f_hat": self.f_hat}
-        if self.kind == "radial_curve":
-            out["r"] = self.radii
-            if self.f_reference is not None:
-                out["f_reference"] = self.f_reference
-        elif self.kind == "grid":
+        if self.kind == "grid":
             out.update(f_hat=self.f_hat.ravel(), origin=self.grid.origin,
                        spacing=self.grid.spacing, shape=list(self.grid.shape))
+            return out
+        if self.kind == "radial_curve":
+            out["r"] = self.radii
+        if self.f_reference is not None:
+            out["f_reference"] = self.f_reference
         return out
 
     def csv_text(self) -> str:
-        """A curve as r, f_hat (plus f_reference, abs_error with a
-        reference); grid nodes or points as x1..xd, f_hat."""
+        """A curve as r, f_hat; grid nodes or points as x1..xd, f_hat.  A
+        curve or points with a reference add f_reference, abs_error."""
         if self.kind == "radial_curve":
             cols = [self.radii, self.f_hat]
             names = ["r", "f_hat"]
-            if self.f_reference is not None:
-                cols += [self.f_reference, self.abs_error]
-                names += ["f_reference", "abs_error"]
         else:
             pts = self.grid.nodes() if self.kind == "grid" else self.points
             cols = [pts, self.f_hat.reshape(pts.shape[0], -1)]
             names = [f"x{i+1}" for i in range(pts.shape[1])] + ["f_hat"]
+        if self.f_reference is not None and self.kind != "grid":
+            cols += [self.f_reference, self.abs_error]
+            names += ["f_reference", "abs_error"]
         return _write.csv_text(names, np.column_stack(cols))
 
     def save_curve_csv(self, path):
@@ -174,9 +175,12 @@ def _sphere_area(d: int) -> float:
     return 2.0 * np.pi ** (d / 2.0) / sf.gamma_fn(d / 2.0)
 
 
-def _l2_rel_error(f_hat, f_ref):
-    denom = float(np.linalg.norm(f_ref))
-    return float(np.linalg.norm(np.asarray(f_hat) - f_ref)) / denom
+def _errors(f_hat, f_ref, prof):
+    """The sup error relative to f(0) and the relative l2 error."""
+    return {"sup_rel_error": float(np.max(np.abs(f_hat - f_ref))
+                                   / prof.f(0.0)),
+            "l2_rel_error": (float(np.linalg.norm(f_hat - f_ref))
+                             / float(np.linalg.norm(f_ref)))}
 
 
 def _curve_negativity_mass(radii, f_hat, d):
@@ -190,10 +194,18 @@ def _curve_negativity_mass(radii, f_hat, d):
 # ---------------------------------------------------------------------------
 
 def _refuse_atoms(ev, route, instead):
-    """ConfigError for an atomic measure, which has no density."""
-    if isinstance(ev.measure, Empirical):
+    """ConfigError for a rank field of atoms, which has no density."""
+    if ev.profile is None:
         raise ConfigError(f"the {route} route evaluates a density pointwise, "
-                          f"and an atomic measure has none; use {instead}")
+                          "and a rank field of atoms has none (an atomic "
+                          "measure, or the Monte-Carlo sample of a "
+                          f"GenericDensity); use {instead}")
+
+
+def _refuse_points(cfg, route):
+    if cfg.points is not None:
+        raise ConfigError(f"the {route} route writes a radial curve at "
+                          "--radii (cfg.radii) and takes no --points")
 
 
 def _odd_local_radial_curve(prof, radii):
@@ -209,14 +221,12 @@ def _odd_local_radial_curve(prof, radii):
     return val
 
 
-def _grid_reconstruct_odd(ev, box, nodes, order):
-    d = ev.d
-    field = sample_grid(ev, box, nodes)
+def _grid_reconstruct_odd(field, order):
     cur = fd_divergence(field, order)
-    for _ in range((d - 1) // 2):
+    for _ in range((field.grid_dim - 1) // 2):
         cur = fd_laplacian(cur, order)
         cur.values = -cur.values
-    cur.values = sf.gamma_d(d) * cur.values
+    cur.values = sf.gamma_d(field.grid_dim) * cur.values
     return cur
 
 
@@ -224,58 +234,54 @@ def reconstruct_odd_local(ev: RankEvaluator, cfg: ReconstructionConfig
                           ) -> ReconstructionReport:
     """Local reconstruction for odd d: gamma_d (-Delta)^{(d-1)/2} div R.
 
-    Closed-form radial measures in d=3 take the analytic path
-    f_hat(r) = -gamma_3 (h''(r) + 2 h'(r)/r); everything else samples the
-    rank on a grid and applies centered finite differences.
+    A closed form in d=3 takes the analytic path
+    f_hat(r) = -gamma_3 (h''(r) + 2 h'(r)/r) at cfg.radii; with force_grid
+    it samples the rank on a grid and applies centered finite differences,
+    and coarse_check repeats them on the grid's even nodes: observed_order,
+    and refinement_delta, max |coarse - fine| on the shared nodes.
     """
     d = ev.d
     if d % 2 == 0:
         raise ParityError("odd-local reconstruction requires odd d, "
                           f"got d={d}")
-    if ev.mode == "radial" and d == 3 and not cfg.force_grid:
-        prof = ev.profile
+    _refuse_atoms(ev, "odd-local", "poisson_smooth (on atoms a Poisson"
+                  " KDE with an explicit bandwidth), or the weak form in "
+                  "verify_identity_on_test_function")
+    _refuse_points(cfg, "odd-local")
+    prof = ev.profile
+    if d == 3 and not cfg.force_grid:
         radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
                  else np.linspace(0.05, 5.0, 100))
         f_hat = _odd_local_radial_curve(prof, radii)
         f_ref = prof.f(radii)
-        diag = {
-            "sup_rel_error": float(np.max(np.abs(f_hat - f_ref)) / prof.f(0.0)),
-            "l2_rel_error": _l2_rel_error(f_hat, f_ref),
-            "negativity_mass": _curve_negativity_mass(radii, f_hat, d),
-        }
+        diag = {**_errors(f_hat, f_ref, prof), "negativity_mass":
+                _curve_negativity_mass(radii, f_hat, d)}
         return ReconstructionReport("odd-local", cfg.echo(), "radial_curve",
                                     f_hat, radii=radii, f_reference=f_ref,
                                     diagnostics=diag)
 
-    _refuse_atoms(ev, "odd-local grid", "poisson_smooth, a Poisson KDE with"
-                  " an explicit bandwidth, or the weak form in "
-                  "verify_identity_on_test_function")
-    fine = _grid_reconstruct_odd(ev, cfg.grid_box, cfg.grid_nodes,
-                                 cfg.fd_order)
-    diag = {}
-    ref = None
-    if ev.mode == "radial":
-        pts = fine.nodes()
-        ref_flat = ev.profile.f(_row_norms(pts))
-        ref = ref_flat.reshape(fine.shape)
-        f0 = ev.profile.f(0.0)
-        diag["sup_rel_error"] = float(np.max(np.abs(fine.values - ref)) / f0)
-        diag["l2_rel_error"] = _l2_rel_error(fine.values, ref)
-    diag["negativity_mass"] = float(
-        np.sum(np.maximum(0.0, -fine.values)) * fine.spacing ** d)
+    field = sample_grid(ev, cfg.grid_box, cfg.grid_nodes)
+    fine = _grid_reconstruct_odd(field, cfg.fd_order)
+    ref = prof.f(_row_norms(fine.nodes())).reshape(fine.shape)
+    diag = {**_errors(fine.values, ref, prof), "negativity_mass": float(
+        np.sum(np.maximum(0.0, -fine.values)) * fine.spacing ** d)}
     if cfg.coarse_check and cfg.grid_nodes >= 13:
-        coarse_nodes = (cfg.grid_nodes - 1) // 2 + 1
-        coarse = _grid_reconstruct_odd(ev, cfg.grid_box, coarse_nodes,
-                                       cfg.fd_order)
-        if ref is not None:
-            pts_c = coarse.nodes()
-            ref_c = ev.profile.f(_row_norms(pts_c)).reshape(coarse.shape)
-            ec = float(np.max(np.abs(coarse.values - ref_c)))
-            ef = float(np.max(np.abs(fine.values - ref)))
-            if ef > 0:
-                diag["observed_order"] = float(np.log2(ec / ef))
-        else:
-            diag["coarse_spacing"] = coarse.spacing
+        # with n odd, bit for bit the nodes of a grid of (n - 1) // 2 + 1
+        even = field.values[(slice(None, None, 2),) * d]
+        coarse = _grid_reconstruct_odd(VectorGridField(
+            field.origin, 2.0 * field.spacing, even.shape[:d], even),
+            cfg.fd_order)
+        ref_c = prof.f(_row_norms(coarse.nodes())).reshape(coarse.shape)
+        ec = float(np.max(np.abs(coarse.values - ref_c)))
+        ef = float(np.max(np.abs(fine.values - ref)))
+        if ef > 0:
+            diag["observed_order"] = float(np.log2(ec / ef))
+        # as many nodes per side go to the stencils: coarse j is fine crop+2j
+        crop = (field.shape[0] - fine.shape[0]) // 2
+        shared = fine.values[tuple(slice(crop, crop + 2 * n - 1, 2)
+                                   for n in coarse.shape)]
+        diag["refinement_delta"] = float(np.max(np.abs(coarse.values
+                                                       - shared)))
     return ReconstructionReport("odd-local", cfg.echo(), "grid", fine.values,
                                 f_reference=ref, diagnostics=diag, grid=fine)
 
@@ -351,27 +357,26 @@ def _scalar_u_and_tail(ev: RankEvaluator, cfg: ReconstructionConfig):
 
 def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
                               ) -> ReconstructionReport:
-    """Even-d reconstruction via the pointwise singular integral."""
+    """Even-d reconstruction of a closed form via the pointwise singular
+    integral: at cfg.points when given, else on the curve at cfg.radii."""
     d = ev.d
     if d % 2 == 1:
         raise ParityError("singular-integral reconstruction requires even "
                           f"d, got d={d}")
-    _refuse_atoms(ev, "singular", "the extension method, a Poisson KDE with"
-                  " the explicit bandwidth extension_height (--height)")
+    _refuse_atoms(ev, "singular", "the extension method (on atoms a Poisson"
+                  " KDE with the bandwidth extension_height, --height)")
     ufunc, tail = _scalar_u_and_tail(ev, cfg)
-
-    radial = ev.mode == "radial"
-    if radial:
+    prof = ev.profile
+    if cfg.points is not None:
+        pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
+        radii = None
+        f_ref = prof.f(_row_norms(pts))
+    else:
         radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
                  else np.linspace(0.0, 2.0, 20))
         pts = np.zeros((len(radii), d))
         pts[:, 0] = radii
-    else:
-        if cfg.points is None:
-            raise ConfigError("singular reconstruction of a non-radial "
-                              "measure needs evaluation points (--points)")
-        pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
-        radii = None
+        f_ref = prof.f(radii)
 
     f_hat = half_laplacian_singular(ufunc, d, pts, cfg, tail)
     diag = {}
@@ -386,17 +391,15 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
                 f"refining (eta, r_max) moved the answer by {delta:.3e}, "
                 f"beyond the {cfg.tolerance:.3e} tolerance")
 
-    if radial:
-        f_ref = ev.profile.f(radii)
-        diag["sup_rel_error"] = float(np.max(np.abs(f_hat - f_ref))
-                                      / ev.profile.f(0.0))
-        diag["l2_rel_error"] = _l2_rel_error(f_hat, f_ref)
-        diag["negativity_mass"] = _curve_negativity_mass(radii, f_hat, d)
-        return ReconstructionReport("singular", cfg.echo(), "radial_curve",
-                                    f_hat, radii=radii, f_reference=f_ref,
+    diag.update(_errors(f_hat, f_ref, prof))
+    if radii is None:
+        return ReconstructionReport("singular", cfg.echo(), "points", f_hat,
+                                    points=pts, f_reference=f_ref,
                                     diagnostics=diag)
-    return ReconstructionReport("singular", cfg.echo(), "points", f_hat,
-                                points=pts, diagnostics=diag)
+    diag["negativity_mass"] = _curve_negativity_mass(radii, f_hat, d)
+    return ReconstructionReport("singular", cfg.echo(), "radial_curve",
+                                f_hat, radii=radii, f_reference=f_ref,
+                                diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +407,7 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
 # ---------------------------------------------------------------------------
 
 def _require_isotropic_d2(ev):
-    if ev.d != 2 or ev.mode != "radial":
+    if ev.d != 2 or ev.profile is None:
         raise ParityError("the Hankel route applies to closed-form radial "
                           "measures in d = 2")
 
@@ -466,6 +469,8 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
     admissible, or when the last segment of the outer rule holds a
     non-negligible share of the integrand, i.e. V decays too slowly.
     """
+    _require_isotropic_d2(ev)
+    _refuse_points(cfg, "Hankel")
     radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
              else np.linspace(0.2, 2.0, 10))
     t, w = gl_segments(np.linspace(0.0, _HANKEL_T, _HANKEL_SEGMENTS + 1),
@@ -486,12 +491,8 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
         f_hat[lo:lo + step] = const * (
             j0(2.0 * np.pi * np.outer(radii[lo:lo + step], t)) @ wtv)
     f_ref = ev.profile.f(radii)
-    diag = {
-        "sup_rel_error": float(np.max(np.abs(f_hat - f_ref))
-                               / ev.profile.f(0.0)),
-        "l2_rel_error": _l2_rel_error(f_hat, f_ref),
-        "negativity_mass": _curve_negativity_mass(radii, f_hat, 2),
-    }
+    diag = {**_errors(f_hat, f_ref, ev.profile), "negativity_mass":
+            _curve_negativity_mass(radii, f_hat, 2)}
     return ReconstructionReport("hankel", cfg.echo(), "radial_curve", f_hat,
                                 radii=radii, f_reference=f_ref,
                                 diagnostics=diag)
@@ -524,14 +525,6 @@ def poisson_smooth(measure: Measure, pts: np.ndarray, t: float) -> np.ndarray:
                           @ measure.weights[cols])
         return C * t * out
 
-    if isinstance(measure, RadialClosedForm):
-        prof = radial_profile(measure)
-        dens = lambda q: prof.f(_row_norms(q))
-    elif isinstance(measure, GenericDensity):
-        dens = lambda q: np.asarray(measure.density(q), dtype=float)
-    else:
-        raise ValueError(f"unsupported measure {type(measure).__name__}")
-
     omega, w_ang = (circle_rule(64) if d == 2 else sphere_rule(d, 24, 48))
     rules = [_poisson_radial_rule(float(np.linalg.norm(x)), t) for x in pts]
     out = np.empty(pts.shape[0])
@@ -541,7 +534,8 @@ def poisson_smooth(measure: Measure, pts: np.ndarray, t: float) -> np.ndarray:
         fz = np.empty((len(idx), n))
         for i, k, z in ring_blocks(pts[idx], [rules[j][0] for j in idx],
                                    omega):
-            fz[i, k] = dens(z.reshape(-1, d)).reshape(len(i), -1) @ w_ang
+            fz[i, k] = (measure_density(measure, z.reshape(-1, d))
+                        .reshape(len(i), -1) @ w_ang)
         for row, j in enumerate(idx):
             rn, rw = rules[j]
             kern = t / (rn * rn + t * t) ** ((d + 1) / 2.0)
@@ -569,13 +563,12 @@ def reconstruct_extension(ev_or_measure, cfg: ReconstructionConfig
     Richardson extrapolate 2 f_{t/2} - f_t; the height error is first order
     in t for Lipschitz densities, so extrapolation buys one order.
     """
-    measure = (ev_or_measure.measure
-               if isinstance(ev_or_measure, RankEvaluator) else ev_or_measure)
-    d = measure.d
+    ev = (ev_or_measure if isinstance(ev_or_measure, RankEvaluator)
+          else RankEvaluator(ev_or_measure))
+    d = ev.d
     if d % 2 == 1:
         raise ParityError("the extension route embeds an even-d measure, "
                           f"got d={d}")
-    radial = isinstance(measure, RadialClosedForm)
     if cfg.points is not None:
         pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
         radii = None
@@ -586,15 +579,14 @@ def reconstruct_extension(ev_or_measure, cfg: ReconstructionConfig
         pts[:, 0] = radii
 
     t = cfg.extension_height
-    f_t = poisson_smooth(measure, pts, t)
-    f_t2 = poisson_smooth(measure, pts, t / 2.0)
+    f_t = poisson_smooth(ev.measure, pts, t)
+    f_t2 = poisson_smooth(ev.measure, pts, t / 2.0)
     f_hat = 2.0 * f_t2 - f_t
     diag = {"height": t, "f_at_height": f_t, "f_at_half_height": f_t2}
     f_ref = None
-    if radial:
-        prof = radial_profile(measure)
+    if ev.profile is not None:
         rr = radii if radii is not None else _row_norms(pts)
-        f_ref = prof.f(rr)
+        f_ref = ev.profile.f(rr)
         diag["error_at_height"] = np.abs(f_t - f_ref)
         diag["error_at_half_height"] = np.abs(f_t2 - f_ref)
         diag["richardson_error"] = np.abs(f_hat - f_ref)
@@ -645,15 +637,21 @@ class PolynomialBump:
 
     def _s(self, x):
         y = np.atleast_2d(x) - self.center[None, :]
-        return (y * y).sum(axis=1) / self.radius ** 2, y
+        return _row_dots(y, y) / self.radius ** 2, y
+
 
     def _w(self, s, order):
+        """d^order/ds^order of (1 - s)_+^m, computed only where s < 1: it
+        is exactly 0 outside."""
         m = self.m
-        base = np.maximum(1.0 - s, 0.0)
         coef = 1.0
         for k in range(order):
             coef *= (m - k)
-        return ((-1.0) ** order) * coef * base ** (m - order) * (s < 1.0)
+        out = np.zeros_like(s)
+        inside = s < 1.0
+        out[inside] = (((-1.0) ** order) * coef
+                       * (1.0 - s[inside]) ** (m - order))
+        return out
 
     def value(self, x):
         s, _ = self._s(x)
@@ -725,8 +723,9 @@ def verify_identity_on_test_function(psi: PolynomialBump, ev: RankEvaluator,
     # V = gamma_d U, the only place where d matters
     U = psi.grad_laplacian if d == 3 else (lambda x: -psi.gradient(x))
     omega, w_ang = sphere_rule(d, n_polar, n_azimuth)
-    atomic = isinstance(ev.measure, Empirical)
-    atoms, weights = ((ev.measure.atoms, ev.measure.weights) if atomic
+    # a measure with a density, closed-form or sampled, takes the ball pass
+    atomic = ev.profile is None and not ev.sampled
+    atoms, weights = (ev.atoms() if atomic
                       else (np.empty((0, d)), np.empty(0)))
     gap = np.linalg.norm(atoms - psi.center, axis=1)
     near = gap <= psi.radius + 1e-9
@@ -754,7 +753,7 @@ def verify_identity_on_test_function(psi: PolynomialBump, ev: RankEvaluator,
     rings = np.empty((2, n_radial))
     for _, k, z in ring_blocks(psi.center[None, :], rn, omega):
         x = z.reshape(-1, d)
-        rings[0, k] = (rest(x) * U(x)).sum(axis=1).reshape(len(k), -1) @ w_ang
+        rings[0, k] = _row_dots(rest(x), U(x)).reshape(len(k), -1) @ w_ang
         if not atomic:
             fx = measure_density(ev.measure, x) * psi.value(x)
             rings[1, k] = fx.reshape(len(k), -1) @ w_ang

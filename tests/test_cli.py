@@ -145,6 +145,20 @@ def test_content_command(tmp_path, capsys):
     assert payload["abs_error"] <= 1e-6
 
 
+def test_content_format_csv_exits_2(tmp_path, capsys):
+    # content writes one JSON object: json is its default, csv is refused
+    argv = ["content", "--family", "gaussian", "--dim", "3", "--radius", "1"]
+    out = tmp_path / "content.csv"
+    assert run(argv + ["--format", "csv", "-o", str(out)]) == 2
+    assert "--format csv is refused" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert run(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["path"] == "analytic"
+
+
 def test_content_even_dim_rejected(capsys):
     code = run(["content", "--family", "gaussian", "--dim", "2",
                 "--radius", "1"])
@@ -262,6 +276,45 @@ def test_reconstruct_empirical_singular_at_points(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert "extension" in err and "--height" in err
+    assert not out.exists()
+
+
+def test_reconstruct_singular_at_points_of_a_family(tmp_path):
+    # singular evaluates a closed form at --points; --reference gives f(|x|)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0\n0.6,-0.8\n1.2,0.5\n")
+    out = tmp_path / "f.csv"
+    assert run(["reconstruct", "--family", "gaussian", "--dim", "2",
+                "--method", "singular", "--points", str(pts), "--reference",
+                "-o", str(out)]) == 0
+    names, table = cli.load_table(out)
+    assert names == ["x1", "x2", "f_hat", "f_reference", "abs_error"]
+    assert np.array_equal(table[:, :2], cli.load_table(pts)[1])
+    want = np.exp(-0.5 * (table[:, :2] ** 2).sum(axis=1)) / (2 * np.pi)
+    np.testing.assert_allclose(table[:, 3], want, rtol=1e-15)
+    assert np.max(table[:, 4]) <= 1e-3 / (2 * np.pi)
+    # and the library's report for the same points, without the reference
+    assert run(["reconstruct", "--family", "gaussian", "--dim", "2",
+                "--method", "singular", "--points", str(pts), "-o",
+                str(out)]) == 0
+    rep = gr.reconstruct_even_singular(
+        gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2)),
+        gr.ReconstructionConfig(method="singular", points=table[:, :2]))
+    assert np.array_equal(cli.load_table(out)[1][:, 2], rep.f_hat)
+
+
+@pytest.mark.parametrize("method, dim", [("hankel", "2"), ("odd-local", "3")])
+def test_reconstruct_curve_routes_refuse_points(tmp_path, capsys, method,
+                                                dim):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(",".join(["0.5"] * int(dim)) + "\n")
+    out = tmp_path / "f.csv"
+    assert run(["reconstruct", "--family", "gaussian", "--dim", dim,
+                "--method", method, "--points", str(pts), "-o",
+                str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("georank: configuration error:")
+    assert "--radii" in err and "--points" in err
     assert not out.exists()
 
 
@@ -530,9 +583,10 @@ def _argv(cmd, atoms, pts):
     }[cmd]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("cmd", ["rank", "quantile", "reconstruct",
-                                 "contour", "content"])
+@pytest.mark.parametrize("cmd, fmt", [
+    (cmd, fmt) for cmd in ("rank", "quantile", "reconstruct", "contour",
+                           "content")
+    for fmt in ("csv", "json") if (cmd, fmt) != ("content", "csv")])
 def test_identical_flags_write_identical_bytes(tmp_path, cmd, fmt):
     argv = _argv(cmd, *_inputs(tmp_path)) + ["--format", fmt]
     written = []

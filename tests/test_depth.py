@@ -174,11 +174,11 @@ def test_reindexed_rank_direction_and_magnitude():
 
 
 def test_contour_on_monte_carlo_smoothed_rank():
-    # common-random-numbers evaluation keeps the sampled rank field smooth,
-    # so per-ray root finding works on it; radii agree with the closed form
-    # at Monte-Carlo accuracy
-    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2), force_mc=True,
-                          mc_n=200_000, seed=33)
+    # the rank field of a 200 000-atom sample of the closed form is smooth
+    # enough between atoms for per-ray root finding; radii agree with the
+    # closed form at Monte-Carlo accuracy
+    ev = gr.RankEvaluator(gr.Empirical(gr.sample(
+        gr.RadialClosedForm("gaussian", 2), 200_000, 33)))
     beta = float(gr.radial_profile(gr.RadialClosedForm("gaussian", 2)).g(1.0))
     c = gr.contour(ev, beta, n_rays=8)
     assert not c.skipped

@@ -7,7 +7,8 @@ import pytest
 import georank as gr
 from georank import quantile, rankfield
 from georank.errors import (DegenerateSupportError, DomainError,
-                            NonConvergenceError, SingularityError)
+                            NonConvergenceError, SingularityError,
+                            UnsupportedVariantError)
 
 FAMILIES = [("gaussian", 2), ("gaussian", 3), ("cauchy", 2), ("cauchy", 3)]
 
@@ -257,8 +258,20 @@ def test_second_order_pass_equals_objective_rank_and_jacobian(monkeypatch,
     with pytest.raises(DomainError):
         ev.rank(np.full(d, np.nan), second_order=True)
     radial = gr.RankEvaluator(gr.RadialClosedForm("gaussian", d))
-    with pytest.raises(ValueError, match="second-order"):
+    with pytest.raises(UnsupportedVariantError, match="second-order"):
         radial.rank(np.ones(d), second_order=True)
+
+
+def test_closed_form_holds_no_atoms_for_the_objective():
+    # a closed form is a radial profile, not a hidden Monte-Carlo cloud
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    q = gr.QuantileQuery(0.3, np.array([1.0, 0.0]))
+    for call in (ev.atoms, lambda: gr.objective(ev, q, np.ones(2))):
+        with pytest.raises(UnsupportedVariantError, match="no atoms"):
+            call()
+    assert ev._atoms is None
+    assert np.array_equal(gr.solve_quantile(ev, q),
+                          gr.invert_g(ev.profile, 0.3) * q.u)
 
 
 def test_nonconvergence_carries_the_objective_history(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 import georank as gr
 from georank.errors import (BudgetError, DomainError, SingularityError,
-                            StencilOverflowError)
+                            StencilOverflowError, UnsupportedVariantError)
 from georank.rankfield import (kernel_derivative_terms, _eval_terms,
                                _grid_nodes, _neg_laplacian)
 
@@ -51,8 +51,8 @@ def test_rank_norm_bound_everywhere():
     evs = [
         _ev_empirical(atoms),
         gr.RankEvaluator(gr.RadialClosedForm("cauchy", 3)),
-        gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2), force_mc=True,
-                         mc_n=20_000, seed=4),
+        gr.RankEvaluator(gr.Empirical(gr.sample(
+            gr.RadialClosedForm("gaussian", 2), 20_000, 4))),
     ]
     for ev in evs:
         pts = rng.standard_normal((50, ev.d)) * 3.0
@@ -150,8 +150,8 @@ def test_rank_derivative_divergence_gaussian_d3():
     assert div == pytest.approx(want, rel=1e-12)
     assert div == pytest.approx(1.3653789, abs=1e-6)
     # Monte-Carlo cross check within 3 standard errors
-    mc = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3), force_mc=True,
-                          mc_n=200_000, seed=12)
+    mc = gr.RankEvaluator(gr.Empirical(gr.sample(
+        gr.RadialClosedForm("gaussian", 3), 200_000, 12)))
     atoms, _ = mc.atoms()
     nrm = np.linalg.norm(x[None, :] - atoms, axis=1)
     vals = 2.0 / nrm
@@ -343,14 +343,62 @@ def test_scalar_grid_save_load_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# what a rank field is made of
+# ---------------------------------------------------------------------------
+
+def _generic(family, d):
+    """A closed-form family as a GenericDensity: its density, and a sampler
+    of G or G/|W| with G a standard d-normal and W a standard normal."""
+    f = gr.radial_profile(gr.RadialClosedForm(family, d)).f
+
+    def sampler(n, rng):
+        g = rng.standard_normal((n, d))
+        return g if family == "gaussian" else (
+            g / np.abs(rng.standard_normal(n))[:, None])
+    return gr.GenericDensity(d, lambda x: f(np.linalg.norm(x, axis=1)),
+                             sampler)
+
+
+@pytest.mark.parametrize("family, d", [("gaussian", 2), ("cauchy", 3)])
+def test_monte_carlo_field_is_its_sample_as_atoms(family, d):
+    # a GenericDensity's field is the rank field of mc_n sampled atoms: bit
+    # for bit that of the Empirical measure on the same sample
+    m = _generic(family, d)
+    mc = gr.RankEvaluator(m, mc_n=5000, seed=7)
+    atoms = gr.RankEvaluator(gr.Empirical(gr.sample(m, 5000, 7)))
+    assert (mc.mode, mc.sampled, mc.profile) == ("mc", True, None)
+    assert (atoms.mode, atoms.sampled) == ("exact", False)
+    assert mc._atoms is None                 # drawn on first use
+    pts = np.random.default_rng(8).standard_normal((40, d))
+    assert np.array_equal(mc.rank_many(pts), atoms.rank_many(pts))
+    assert np.array_equal(mc.divergence_many(pts), atoms.divergence_many(pts))
+    for x in pts[:3]:
+        assert np.array_equal(mc.jacobian(x), atoms.jacobian(x))
+        for a, b in zip(mc.rank(x, second_order=True),
+                        atoms.rank(x, second_order=True)):
+            assert np.array_equal(a, b)
+    assert mc.atoms()[0].shape == (5000, d)
+
+
+def test_evaluator_decides_once_and_mode_is_derived():
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    assert (ev.mode, ev.sampled) == ("radial", False)
+    with pytest.raises(AttributeError):
+        ev.mode = "mc"
+    with pytest.raises(TypeError):
+        gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2), force_mc=True)
+    with pytest.raises(UnsupportedVariantError, match="cannot evaluate"):
+        gr.RankEvaluator(np.zeros((3, 2)))
+
+
+# ---------------------------------------------------------------------------
 # evaluation points must be finite
 # ---------------------------------------------------------------------------
 
 _EVALUATORS = {
     "exact": lambda: _ev_empirical([[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0]]),
     "radial": lambda: gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2)),
-    "mc": lambda: gr.RankEvaluator(gr.RadialClosedForm("cauchy", 2),
-                                   mc_n=500, force_mc=True),
+    "mc": lambda: gr.RankEvaluator(_generic("cauchy", 2), mc_n=500),
 }
 _METHODS = {
     "rank": lambda ev, x: ev.rank(x),

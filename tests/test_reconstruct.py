@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 import georank as gr
@@ -69,6 +71,61 @@ def test_odd_local_grid_refuses_empirical():
                                          grid_nodes=15, coarse_check=False))
 
 
+def test_odd_local_grid_reports_refinement_delta():
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3))
+    box = (-3.0, 3.0)
+    rep = gr.reconstruct_odd_local(ev, CFG(grid_box=box, grid_nodes=41,
+                                           force_grid=True))
+    coarse = gr.reconstruct_odd_local(ev, CFG(grid_box=box, grid_nodes=21,
+                                              force_grid=True,
+                                              coarse_check=False))
+    # the 21-node grid's nodes are the 41-node grid's even nodes, bit for bit
+    fine_nodes = gr.sample_grid(ev, box, 41).nodes().reshape(41, 41, 41, 3)
+    assert np.array_equal(gr.sample_grid(ev, box, 21).nodes(),
+                          fine_nodes[::2, ::2, ::2].reshape(-1, 3))
+    # both answers lose two nodes per side to the stencils
+    shared = rep.grid.values[2:35:2, 2:35:2, 2:35:2]
+    delta = float(np.max(np.abs(coarse.grid.values - shared)))
+    assert rep.diagnostics["refinement_delta"] == delta
+    assert 0.0 < delta <= 0.05 * ev.profile.f(0.0)
+    assert "observed_order" in rep.diagnostics
+    assert "coarse_spacing" not in rep.diagnostics
+
+
+def _normal(d):
+    return gr.GenericDensity(
+        d, lambda x: (np.exp(-0.5 * (x * x).sum(axis=1))
+                   / (2 * np.pi) ** (d / 2)),
+        lambda n, rng: rng.standard_normal((n, d)))
+
+
+def test_monte_carlo_fields_are_refused_pointwise():
+    # a GenericDensity's field is the rank of its sampled atoms, which has
+    # no density: with mc_n = 2000, singular gave 0.023 at the origin in
+    # d = 2 (truth 0.159) and a 13-node grid 0.033 in d = 3 (truth 0.0635)
+    ev2 = gr.RankEvaluator(_normal(2), mc_n=2000)
+    with pytest.raises(ConfigError, match="rank field of atoms .*Monte-Carlo"
+                       " sample of a GenericDensity.*extension method"):
+        gr.reconstruct_even_singular(ev2, CFG(method="singular",
+                                              points=np.zeros((1, 2)),
+                                              tolerance=1.0))
+    ev3 = gr.RankEvaluator(_normal(3), mc_n=2000)
+    with pytest.raises(ConfigError, match="rank field of atoms .*"
+                       "verify_identity_on_test_function"):
+        gr.reconstruct_odd_local(ev3, CFG(grid_box=(-3.0, 3.0),
+                                          grid_nodes=13))
+    # refused before any atom is drawn
+    assert ev2._atoms is None and ev3._atoms is None
+
+
+@pytest.mark.parametrize("method, d", [("hankel", 2), ("odd-local", 3)])
+def test_curve_routes_refuse_points(method, d):
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", d))
+    with pytest.raises(ConfigError, match="--radii"):
+        gr.reconstruct_density(ev, CFG(method=method,
+                                       points=np.ones((2, d))))
+
+
 # ---------------------------------------------------------------------------
 # singular integral
 # ---------------------------------------------------------------------------
@@ -115,6 +172,33 @@ def test_even_singular_refuses_empirical():
     with pytest.raises(ConfigError, match="extension method"):
         gr.reconstruct_even_singular(
             ev, CFG(method="singular", points=np.array([[0.2, 0.1]])))
+
+
+def test_singular_at_points_of_a_closed_form():
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    radii = np.array([0.0, 0.7, 1.3])
+    curve = gr.reconstruct_even_singular(ev, CFG(method="singular",
+                                                 radii=radii))
+    on_axis = np.column_stack([radii, np.zeros(3)])
+    rep = gr.reconstruct_even_singular(ev, CFG(method="singular",
+                                               points=on_axis))
+    assert rep.kind == "points" and rep.radii is None
+    assert np.array_equal(rep.points, on_axis)
+    # the curve's points are these very points
+    assert np.array_equal(rep.f_hat, curve.f_hat)
+    assert np.array_equal(rep.f_reference, curve.f_reference)
+    assert (rep.diagnostics["refinement_delta"]
+            == curve.diagnostics["refinement_delta"])
+    # off the axis, against f(|x|)
+    th = np.array([0.3, 2.0, 4.0])
+    pts = radii[:, None] * np.column_stack([np.cos(th), np.sin(th)])
+    rep = gr.reconstruct_even_singular(ev, CFG(method="singular",
+                                               points=pts))
+    np.testing.assert_array_equal(
+        rep.f_reference, ev.profile.f(np.linalg.norm(pts, axis=1)))
+    assert rep.diagnostics["sup_rel_error"] <= 1e-3
+    names = rep.csv_text().splitlines()[0].split(",")
+    assert names == ["x1", "x2", "f_hat", "f_reference", "abs_error"]
 
 
 def _half_laplacian_per_point(u, x, cfg, tail_coef):
@@ -668,6 +752,49 @@ def test_identity_d1_several_atoms_inside_the_support():
     assert gr.verify_identity_on_test_function(psi, ev) <= 1e-8
     # the atom pass honours n_radial
     assert gr.verify_identity_on_test_function(psi, ev, n_radial=8) > 1e-6
+
+
+@st.composite
+def _bump_and_cloud(draw, d):
+    """A bump and 1-20 weighted atoms, each at least 0.05 from the bump's
+    boundary sphere, inside or outside it."""
+    centre = draw(arrays(float, d, elements=st.floats(-1.0, 1.0)))
+    radius = draw(st.floats(0.3, 1.5))
+    n = draw(st.integers(1, 20))
+    u = (draw(arrays(float, (n, d), elements=st.floats(0.1, 1.0)))
+         * np.where(draw(arrays(bool, (n, d))), -1.0, 1.0))
+    nrm = np.linalg.norm(u, axis=1)
+    t = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    inside = draw(arrays(bool, n))
+    rho = np.where(inside, t * (radius - 0.05), radius + 0.05 + 1.5 * t)
+    w = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
+    atoms = centre + rho[:, None] * u / nrm[:, None]
+    return (gr.PolynomialBump(centre, radius),
+            gr.RankEvaluator(gr.Empirical(atoms, w / w.sum())))
+
+
+def _weak_form_residual_property(case, bound):
+    # within the example bound at the default rule; doubling every knob
+    # moves the residual up by no more than rounding
+    psi, ev = case
+    res = gr.verify_identity_on_test_function(psi, ev)
+    assert res <= bound
+    doubled = gr.verify_identity_on_test_function(
+        psi, ev, n_radial=96, n_polar=64, n_azimuth=128,
+        quad_budget=20_000_000)
+    assert doubled <= res + 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_bump_and_cloud(1))
+def test_weak_form_residual_on_random_bumps_and_clouds_d1(case):
+    _weak_form_residual_property(case, 1e-8)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_bump_and_cloud(3))
+def test_weak_form_residual_on_random_bumps_and_clouds_d3(case):
+    _weak_form_residual_property(case, 1e-6)
 
 
 def test_even_singular_tolerance_error_when_unattainable():
