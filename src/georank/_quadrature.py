@@ -32,14 +32,13 @@ def gl_nodes(a: float, b: float, n: int):
 
 
 def gl_segments(edges, n: int):
-    """Concatenated Gauss-Legendre rule over consecutive segments."""
+    """Concatenated Gauss-Legendre rule over consecutive segments: the
+    arithmetic of gl_nodes on every segment, in one broadcast."""
     edges = np.asarray(edges, dtype=float)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gl_nodes(a, b, n)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    x, w = _leggauss(n)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (half * x + 0.5 * (a + b)).ravel(), (half * w).ravel()
 
 
 def geometric_edges(a: float, b: float, factor: float = 2.0):
@@ -166,9 +165,18 @@ def bessel_j0_integral(f, rho, n_cells: int = 80, n_gl: int = 16,
     if np.any(rho_arr <= 0):
         raise ValueError("bessel_j0_integral requires rho > 0")
     zn, zw, j0z = _j0_cells(n_cells, n_gl)
-    s = zn[None, :, :] / rho_arr[:, None, None]
-    vals = f(s) * j0z[None, :, :] * zw[None, :, :]
-    terms = vals.sum(axis=2) / rho_arr[:, None]           # (n_rho, cells)
+    # the (rho, cell, node) array in blocks of at most _EVAL_BLOCK nodes,
+    # each block's s = z/rho overwritten by its products f(s) J0(z) w
+    n_rho = len(rho_arr)
+    step = max(1, _EVAL_BLOCK // zn.size)
+    buf = np.empty((min(step, n_rho),) + zn.shape)
+    terms = np.empty((n_rho, n_cells))                     # (n_rho, cells)
+    for lo in range(0, n_rho, step):
+        r = rho_arr[lo:lo + step, None]
+        s = np.divide(zn, r[:, :, None], out=buf[:len(r)])
+        vals = np.multiply(f(s), j0z, out=s)
+        vals *= zw
+        np.divide(vals.sum(axis=2), r, out=terms[lo:lo + step])
     psums = np.cumsum(terms, axis=1)
     depth = min(avg_depth, n_cells - 2)
     out = _averaged_limit(psums, depth)

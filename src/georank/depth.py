@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _write
 from . import specfun as sf
@@ -294,6 +293,8 @@ def probability_content_surface(ev: RankEvaluator, radius: float,
 def radial_content_oracle(m: RadialClosedForm, radius: float) -> float:
     """P[B_R] by direct radial quadrature of the density (independent of the
     rank field); used as the reference for the surface-integral identity."""
+    # imported here: scipy.integrate would add to every CLI start-up
+    from scipy.integrate import quad
     from .measures import radial_profile
     prof = radial_profile(m)
     S = 2.0 * np.pi ** (m.d / 2.0) / sf.gamma_fn(m.d / 2.0)

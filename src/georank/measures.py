@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import specfun as sf
 from .errors import (DimensionMismatchError, DomainError, NonConvergenceError,
@@ -404,6 +403,8 @@ def invert_g(profile: RadialProfile, beta: float) -> float:
     """Radius r with g(r) = beta: the bracket [0, hi] doubles from hi = 1
     until g(hi) >= beta, then Brent's method closes it.  Raises
     NonConvergenceError when the bracket passes the cap."""
+    # imported here: scipy.optimize would add to every CLI start-up
+    from scipy.optimize import brentq
     hi = 1.0
     while profile.g(hi) < beta:
         hi *= 2.0

@@ -102,7 +102,12 @@ def _pair_blocks(pts: np.ndarray, atoms: np.ndarray):
 def _rank_block(diff, dist, w):
     """One block's sum_i w_i (x - z_i)/|x - z_i|, (rows, d); the kernel
     vanishes on the diagonal x = z_i.  Overwrites diff and dist."""
-    diff *= np.divide(1.0, dist, out=dist, where=dist > 0.0)
+    if dist.min() > 0.0:
+        np.divide(1.0, dist, out=dist)
+    else:
+        # a point on an atom: keep its zero distance, so its term is 0
+        np.divide(1.0, dist, out=dist, where=dist > 0.0)
+    diff *= dist
     return (diff @ w).T
 
 
@@ -120,6 +125,14 @@ def _rank_sum(pts, atoms, weights):
     for rows, cols, diff, dist in _pair_blocks(pts, atoms):
         out[rows] += _rank_block(diff, dist, weights[cols])
     return out
+
+
+def _row_blocks(m):
+    """Slices of at most _EVAL_BLOCK // 2 rows covering range(m): the pieces
+    in which closed-form fields are evaluated, row by row, into one
+    preallocated output."""
+    step = _EVAL_BLOCK // 2
+    return (slice(lo, lo + step) for lo in range(0, m, step))
 
 
 def _finite_points(x):
@@ -327,8 +340,12 @@ class RankEvaluator:
     def rank_many(self, pts: np.ndarray) -> np.ndarray:
         pts = _finite_points(pts)
         if self._profile is not None:
-            r = _row_norms(pts)
-            return self._profile.g_over_r(r)[:, None] * pts
+            out = np.empty_like(pts)
+            for rows in _row_blocks(pts.shape[0]):
+                x = pts[rows]
+                np.multiply(self._profile.g_over_r(_row_norms(x))[:, None], x,
+                            out=out[rows])
+            return out
         return _rank_sum(pts, *self.atoms())
 
     # -- derivatives ----------------------------------------------------------
@@ -411,7 +428,10 @@ class RankEvaluator:
     def divergence_many(self, pts: np.ndarray) -> np.ndarray:
         pts = _finite_points(pts)
         if self._profile is not None:
-            return self._profile.h(_row_norms(pts))
+            out = np.empty(pts.shape[0])
+            for rows in _row_blocks(pts.shape[0]):
+                out[rows] = self._profile.h(_row_norms(pts[rows]))
+            return out
         atoms, weights = self.atoms()
         out = np.zeros(pts.shape[0])
         for rows, cols, _, dist in _pair_blocks(pts, atoms):
@@ -478,15 +498,20 @@ def _apply_axis_stencil(values, axis, offsets, coeffs, scale):
     if n - 2 * radius < 1:
         raise StencilOverflowError(
             f"axis {axis} has {n} nodes, stencil needs {2 * radius + 1}")
-    out = None
+    out = buf = None
     for off, c in zip(offsets, coeffs):
         if c == 0.0:
             continue
         sl = [slice(None)] * values.ndim
         sl[axis] = slice(radius + off, n - radius + off)
-        piece = c * values[tuple(sl)]
-        out = piece if out is None else out + piece
-    return out * scale, radius
+        if out is None:
+            out = c * values[tuple(sl)]
+        else:
+            # every later tap reuses one product buffer, summed in place
+            buf = np.multiply(c, values[tuple(sl)], out=buf)
+            out += buf
+    out *= scale
+    return out, radius
 
 
 def fd_derivative(field: VectorGridField, alpha, order: int = 2) -> VectorGridField:
@@ -532,7 +557,11 @@ def _axis_sum(field, values, deriv, order):
         comp = comp[tuple(slice(None) if k == axis else
                           slice(radius, comp.shape[k] - radius)
                           for k in range(d))]
-        out = comp if out is None else out + comp
+        if out is None:
+            # contiguous, and the later terms are summed into it in place
+            out = np.ascontiguousarray(comp)
+        else:
+            out += comp
     origin = field.origin + radius * field.spacing
     return VectorGridField(origin, field.spacing, out.shape[:d], out)
 

@@ -225,8 +225,8 @@ def _grid_reconstruct_odd(field, order):
     cur = fd_divergence(field, order)
     for _ in range((field.grid_dim - 1) // 2):
         cur = fd_laplacian(cur, order)
-        cur.values = -cur.values
-    cur.values = sf.gamma_d(field.grid_dim) * cur.values
+        np.negative(cur.values, out=cur.values)
+    cur.values *= sf.gamma_d(field.grid_dim)
     return cur
 
 

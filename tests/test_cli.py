@@ -632,6 +632,24 @@ def test_back_to_back_commands_match_fresh_processes(tmp_path):
                 == (tmp_path / f"together{i}").read_bytes())
 
 
+def test_cold_start_loads_no_root_finder_or_integrator(tmp_path):
+    # brentq and quad are imported by the two functions that call them
+    src = os.path.dirname(os.path.dirname(gr.__file__))
+    code = ("import sys, georank\n"
+            "from georank import cli\n"
+            "rc = cli.main(['rank', '--family', 'gaussian', '--dim', '3', "
+            "'--grid=-2:2:5', '-o', sys.argv[1]])\n"
+            "print(rc, [m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "grid.csv")], check=True, env=env,
+                          capture_output=True, text=True)
+    assert done.stdout.split("\n")[-2] == "0 []"
+    assert (tmp_path / "grid.csv").stat().st_size > 0
+
+
 def test_quantile_starting_on_an_atom(tmp_path):
     # the coordinatewise median of these atoms is the atom at the origin
     atoms = tmp_path / "five.csv"

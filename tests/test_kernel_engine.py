@@ -13,7 +13,7 @@ import georank as gr
 from georank import cli, rankfield
 from georank.errors import SingularityError
 from georank.reconstruct import _poisson_constant
-from georank.rankfield import _pair_blocks
+from georank.rankfield import _pair_blocks, _rank_block
 
 
 def _direct(atoms, weights, x, t):
@@ -70,6 +70,18 @@ def test_point_on_atom_across_blocks(monkeypatch, block):
             call(last)
     with pytest.raises(SingularityError):
         ev.divergence_many(m.atoms[::-1])
+
+
+def test_rank_block_reciprocal_with_and_without_a_coincident_pair():
+    # the plain reciprocal and the masked one give the same bits
+    m, pts = _cloud(7, 50, 20, 3)
+    pts[3] = m.atoms[11]
+    for p in (pts, np.delete(pts, 3, axis=0)):
+        for _, cols, diff, dist in _pair_blocks(p, m.atoms):
+            inv = np.divide(1.0, dist, out=dist.copy(), where=dist > 0.0)
+            want = ((diff * inv) @ m.weights[cols]).T
+            got = _rank_block(diff, dist, m.weights[cols])
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_cli_at_atom_column_across_blocks(tmp_path, monkeypatch):

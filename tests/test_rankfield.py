@@ -1,14 +1,18 @@
 """Rank evaluation, exact kernel derivatives, grid sampling, and the
 finite-difference stencils."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import georank as gr
+from georank import rankfield
 from georank.errors import (BudgetError, DomainError, SingularityError,
                             StencilOverflowError, UnsupportedVariantError)
 from georank.rankfield import (kernel_derivative_terms, _eval_terms,
                                _grid_nodes, _neg_laplacian)
+from georank.measures import _row_norms
 
 
 def _ev_empirical(atoms, weights=None):
@@ -465,3 +469,94 @@ def test_grid_nodes_equal_meshgrid_stack(d):
     mesh = np.meshgrid(*field.axes(), indexing="ij")
     assert np.array_equal(field.nodes(),
                           np.stack([m.ravel() for m in mesh], axis=1))
+
+
+# ---------------------------------------------------------------------------
+# closed forms in blocks: bounded memory, the one-shot bits
+# ---------------------------------------------------------------------------
+
+_FAMILIES = [("gaussian", 2), ("cauchy", 2), ("gaussian", 3), ("cauchy", 3)]
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family, d", _FAMILIES)
+def test_radial_fields_peak_within_a_block_of_their_output(family, d):
+    # in one piece, 400 000 points take 6.4-6.8 MB beyond the output
+    ev = gr.RankEvaluator(gr.RadialClosedForm(family, d))
+    pts = np.random.default_rng(4).standard_normal((400_000, d))
+    for method in (ev.rank_many, ev.divergence_many):
+        method(pts[:10])
+        tracemalloc.start()
+        try:
+            out = method(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1_000_000, method.__name__
+
+
+@pytest.mark.parametrize("family, d", _FAMILIES)
+def test_radial_fields_in_blocks_equal_the_one_shot_formulas(family, d):
+    ev = gr.RankEvaluator(gr.RadialClosedForm(family, d))
+    prof = ev.profile
+    block = rankfield._EVAL_BLOCK // 2
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((2 * block + 1, d)) * 1.5
+    pts[7] = 0.0                    # the small-radius series branch too
+    pts[block + 3] *= 1e-4
+    for m in (2 * block - 1, 2 * block, 2 * block + 1):
+        x = pts[:m]
+        r = _row_norms(x)
+        assert _same_bits(ev.rank_many(x), prof.g_over_r(r)[:, None] * x)
+        assert _same_bits(ev.divergence_many(x), prof.h(r))
+
+
+def _one_shot_stencil(values, axis, offsets, coeffs, scale):
+    radius = int(np.max(np.abs(offsets)))
+    n = values.shape[axis]
+    out = None
+    for off, c in zip(offsets, coeffs):
+        if c == 0.0:
+            continue
+        sl = [slice(None)] * values.ndim
+        sl[axis] = slice(radius + off, n - radius + off)
+        piece = c * values[tuple(sl)]
+        out = piece if out is None else out + piece
+    return out * scale
+
+
+def _one_shot_axis_sum(field, values, deriv, order):
+    d = field.grid_dim
+    radius = 1 if order == 2 else 2
+    offsets, coeffs = rankfield._STENCILS[(deriv, order)]
+    out = None
+    for axis in range(d):
+        comp = _one_shot_stencil(values(axis), axis, offsets, coeffs,
+                                 1.0 / field.spacing ** deriv)
+        comp = comp[tuple(slice(None) if k == axis else
+                          slice(radius, comp.shape[k] - radius)
+                          for k in range(d))]
+        out = comp if out is None else out + comp
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("family, d", [("gaussian", 2), ("cauchy", 3)])
+def test_fd_operators_in_place_equal_the_sum_of_scaled_taps(family, d, order):
+    field = gr.sample_grid(gr.RankEvaluator(gr.RadialClosedForm(family, d)),
+                           (-2.0, 2.0), 17)
+    div = gr.fd_divergence(field, order)
+    want = _one_shot_axis_sum(field, lambda k: field.values[..., k], 1, order)
+    assert _same_bits(div.values, want)
+    assert div.values.flags.c_contiguous and div.values.flags.owndata
+    lap = gr.fd_laplacian(div, order)
+    assert _same_bits(lap.values,
+                      _one_shot_axis_sum(div, lambda k: div.values, 2, order))
+    first = gr.fd_derivative(field, (1,) + (0,) * (d - 1), order)
+    offsets, coeffs = rankfield._STENCILS[(1, order)]
+    assert _same_bits(first.values, _one_shot_stencil(
+        field.values, 0, offsets, coeffs, 1.0 / field.spacing))

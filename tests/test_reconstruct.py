@@ -320,6 +320,65 @@ def test_j0_integral_decay_error_on_growing_input():
         bessel_j0_integral(lambda s: s ** 1.5, 1.0)
 
 
+def _hankel_remainder(h):
+    return lambda s: s * h(s) - s / np.sqrt(1.0 + s * s)
+
+
+def _one_shot_j0_integral(f, rho, n_cells, n_gl, avg_depth):
+    zn, zw, j0z = _quadrature._j0_cells(n_cells, n_gl)
+    s = zn[None, :, :] / rho[:, None, None]
+    vals = f(s) * j0z[None, :, :] * zw[None, :, :]
+    terms = vals.sum(axis=2) / rho[:, None]
+    return _quadrature._averaged_limit(np.cumsum(terms, axis=1),
+                                       min(avg_depth, n_cells - 2))
+
+
+@pytest.mark.parametrize("n_cells, avg_depth", [
+    (80, 40), (reconstruct._HANKEL_J0_CELLS, reconstruct._HANKEL_J0_AVG)])
+@pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+def test_j0_integral_in_blocks_equals_the_one_shot_sum(family, n_cells,
+                                                       avg_depth):
+    h = gr.RankEvaluator(gr.RadialClosedForm(family, 2)).profile.h
+    f = _hankel_remainder(h)
+    step = _quadrature._EVAL_BLOCK // (n_cells * 16)
+    for n_rho in (1, step, 3 * step + 1):
+        rho = np.linspace(0.05, 25.0, n_rho)
+        got = bessel_j0_integral(f, rho, n_cells=n_cells,
+                                 avg_depth=avg_depth, check_decay=False)
+        want = _one_shot_j0_integral(f, rho, n_cells, 16, avg_depth)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_hankel_j0_integral_peaks_within_its_blocks():
+    # in one piece, the 512 x 24 x 16 nodes take 6.3 MB at the peak
+    f = _hankel_remainder(
+        gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2)).profile.h)
+    rho = 2.0 * np.pi * np.linspace(0.0, 4.0, 513)[1:]
+    kw = dict(n_cells=reconstruct._HANKEL_J0_CELLS,
+              avg_depth=reconstruct._HANKEL_J0_AVG, check_decay=False)
+    bessel_j0_integral(f, rho[:2], **kw)
+    tracemalloc.start()
+    try:
+        out = bessel_j0_integral(f, rho, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+    assert np.all(np.isfinite(out))
+
+
+def test_gl_segments_equal_gl_nodes_per_segment():
+    edges = np.concatenate([[0.0], _quadrature.geometric_edges(0.025, 12.8),
+                            np.linspace(12.8, 61.3, 24)[1:]])
+    for n in (1, 16, 32):
+        got = _quadrature.gl_segments(edges, n)
+        want = [np.concatenate(part) for part in zip(*[
+            _quadrature.gl_nodes(a, b, n)
+            for a, b in zip(edges[:-1], edges[1:])])]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 def test_spectrum_values():
     ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
     for xi in (0.05, 0.1, 0.25, 0.5):
