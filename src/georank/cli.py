@@ -157,6 +157,11 @@ def _measure(args):
     return empirical_from_csv(args.csv, d=getattr(args, "dim", None))
 
 
+def _positive_tol(args):
+    if not 0.0 < args.tol < np.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+
+
 def _parse_range(spec, what):
     try:
         a, b, step = (float(tok) for tok in spec.split(":"))
@@ -242,7 +247,14 @@ def cmd_quantile(args):
     measure = _measure(args)
     ev = RankEvaluator(measure)
     _require(args, "alpha", "direction")
-    u = np.array([float(t) for t in args.direction.split(",")])
+    try:
+        u = np.array([float(t) for t in args.direction.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"bad --direction {args.direction!r}; want "
+                          "comma-separated numbers") from exc
+    if not np.isfinite(u).all():
+        raise ConfigError(f"--direction {args.direction!r} has a component "
+                          "that is not finite")
     if u.shape[0] != ev.d:
         raise ConfigError(f"direction has {u.shape[0]} components, "
                           f"measure dimension is {ev.d}")
@@ -253,6 +265,7 @@ def cmd_quantile(args):
         q = QuantileQuery(args.alpha, u / nrm)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _positive_tol(args)
     x = solve_quantile(ev, q, args.tol)
     residual = float(np.linalg.norm(ev.rank(x) - q.alpha * q.u))
     if args.format == "json":
@@ -291,6 +304,9 @@ def cmd_contour(args):
     _require(args, "beta")
     if not 0.0 <= args.beta < 1.0:
         raise ConfigError("beta must lie in [0, 1)")
+    if args.rays < 1:
+        raise ConfigError(f"--rays must be at least 1, got {args.rays}")
+    _positive_tol(args)
     c = depth_contour(ev, args.beta, n_rays=args.rays, tol=args.tol)
     if c.kind == "rayfan" and args.format != "json":
         _emit(args, c.csv_text())
@@ -310,6 +326,9 @@ def cmd_content(args):
     measure = _measure(args)
     ev = RankEvaluator(measure)
     _require(args, "radius")
+    if not 0.0 <= args.radius < np.inf:
+        raise ConfigError(f"--radius must be finite and at least 0, got "
+                          f"{args.radius}")
     if ev.d % 2 == 0:
         raise ConfigError("surface-integral content requires odd dimension")
     value = probability_content_surface(ev, args.radius, path=args.path)

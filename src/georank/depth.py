@@ -140,6 +140,8 @@ def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
+    if n_rays < 1:
+        raise ValueError(f"n_rays must be at least 1, got {n_rays}")
     if beta == 0.0:
         if ev.profile is not None:
             return DepthContour(beta, "radial", r_beta=0.0)

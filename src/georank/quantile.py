@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateSupportError, NonConvergenceError
 from .measures import invert_g
-from .rankfield import RankEvaluator, _pair_blocks
+from .rankfield import _EVAL_BLOCK, RankEvaluator, _pair_blocks
 
 _MAX_ITERS = 200
 _ARMIJO = 1e-4
@@ -77,10 +77,20 @@ def _atom_minimizer(ev: RankEvaluator, alpha_u, x):
     when |R(z) - alpha u| <= w_z, and then no point solves R(x) = alpha u.
     """
     atoms, weights = ev.atoms()
-    gap = atoms - x
-    j = int(np.argmin(np.einsum("ij,ij->i", gap, gap)))
+    blocks = [slice(lo, lo + _EVAL_BLOCK)
+              for lo in range(0, len(atoms), _EVAL_BLOCK)]
+    # the first nearest atom, and the weights of its copies in index order:
+    # the argmin and the one sum over the whole cloud, a block at a time
+    j, best = 0, np.inf
+    for b in blocks:
+        gap = atoms[b] - x
+        dd = np.einsum("ij,ij->i", gap, gap)
+        k = int(np.argmin(dd))
+        if dd[k] < best:
+            j, best = b.start + k, dd[k]
     z = atoms[j].copy()
-    w_z = float(weights[np.all(atoms == z, axis=1)].sum())
+    w_z = float(np.concatenate([weights[b][np.all(atoms[b] == z, axis=1)]
+                                for b in blocks]).sum())
     return z if np.linalg.norm(ev.rank(z) - alpha_u) <= w_z else None
 
 

@@ -81,22 +81,31 @@ def _pair_blocks(pts: np.ndarray, atoms: np.ndarray):
     the differences x_k - z_k as d contiguous (rows, cols) arrays; |x - z|.
     Both arrays are buffers that callers may overwrite and the next block
     reuses: fresh ones cost page faults, half the time of a block.
+
+    The atoms are read chunk by chunk, each chunk copied once into one
+    (d, chunk) buffer that every row block then reads, so no allocation is
+    proportional to the cloud: a call holds one block and one chunk.  Each
+    row still meets the chunks in index order, so a sum `out[rows] +=` over
+    the blocks has the same bits as with the rows outside.
     """
     (m, d), n = pts.shape, atoms.shape[0]
     n_blk = max(1, min(n, _EVAL_BLOCK))
     m_blk = _EVAL_BLOCK // n_blk
     buf = np.empty((d + 1) * min(m, m_blk) * n_blk)
-    coords = atoms.T.copy()
-    for lo in range(0, m, m_blk):
-        x = pts[lo:lo + m_blk].T[:, :, None]
-        for a_lo in range(0, n, n_blk):
-            z = coords[:, None, a_lo:a_lo + n_blk]
+    chunk = np.empty((d, n_blk))
+    for a_lo in range(0, n, n_blk):
+        cols = slice(a_lo, a_lo + n_blk)
+        z = chunk[:, :min(n - a_lo, n_blk)]
+        np.copyto(z, atoms[cols].T)
+        z = z[:, None, :]
+        for lo in range(0, m, m_blk):
+            x = pts[lo:lo + m_blk].T[:, :, None]
             shape = (x.shape[1], z.shape[2])
             size = shape[0] * shape[1]
             diff = np.subtract(x, z, out=buf[:d * size].reshape((d,) + shape))
             dist = buf[d * size:(d + 1) * size].reshape(shape)
             np.sqrt(np.einsum("kmn,kmn->mn", diff, diff, out=dist), out=dist)
-            yield slice(lo, lo + m_blk), slice(a_lo, a_lo + n_blk), diff, dist
+            yield slice(lo, lo + m_blk), cols, diff, dist
 
 
 def _rank_block(diff, dist, w):

@@ -621,7 +621,8 @@ class PolynomialBump:
 
     C^{m-1} across the support boundary, with closed-form gradient,
     Laplacian, and gradient-of-Laplacian (m >= 4 keeps the last one
-    continuous).  Vectorized over (n, d) arrays.
+    continuous).  Vectorized over (n, d) arrays; the two gradients are
+    written into the one (n, d) difference array x - c, in place.
     """
 
     def __init__(self, center, radius: float, m: int = 8):
@@ -653,6 +654,13 @@ class PolynomialBump:
                        * (1.0 - s[inside]) ** (m - order))
         return out
 
+    def _times_gradient_of_s(self, coef, y):
+        """coef * grad s = coef * 2 y / a^2 per row, written into y."""
+        y *= 2.0
+        y /= self.radius ** 2
+        y *= coef[:, None]
+        return y
+
     def value(self, x):
         s, _ = self._s(x)
         out = self._w(s, 0)
@@ -660,8 +668,7 @@ class PolynomialBump:
 
     def gradient(self, x):
         s, y = self._s(x)
-        t = 2.0 * y / self.radius ** 2
-        out = self._w(s, 1)[:, None] * t
+        out = self._times_gradient_of_s(self._w(s, 1), y)
         return out if np.ndim(x) > 1 else out[0]
 
     def laplacian(self, x):
@@ -673,10 +680,9 @@ class PolynomialBump:
     def grad_laplacian(self, x):
         s, y = self._s(x)
         a2 = self.radius ** 2
-        t = 2.0 * y / a2
         coef = (4.0 * s / a2) * self._w(s, 3) \
             + ((4.0 + 2.0 * self.d) / a2) * self._w(s, 2)
-        out = coef[:, None] * t
+        out = self._times_gradient_of_s(coef, y)
         return out if np.ndim(x) > 1 else out[0]
 
 
@@ -747,8 +753,11 @@ def verify_identity_on_test_function(psi: PolynomialBump, ev: RankEvaluator,
 
     # ball pass: the far atoms' field and a density's are smooth on supp
     # psi; the jumps of a Monte-Carlo cloud's field are left to the rule
-    rest = ((lambda x: _rank_sum(x, atoms[~near], weights[~near])) if atomic
-            else ev.rank_many)
+    if atomic:
+        far, far_w = atoms[~near], weights[~near]
+        rest = lambda x: _rank_sum(x, far, far_w)
+    else:
+        rest = ev.rank_many
     rn, rw = gl_nodes(0.0, psi.radius, n_radial)
     rings = np.empty((2, n_radial))
     for _, k, z in ring_blocks(psi.center[None, :], rn, omega):

@@ -673,3 +673,49 @@ def test_quantile_at_an_atom_exits_0_with_the_atom(tmp_path):
     assert code == 0
     vals = [float(v) for v in out.read_text().splitlines()[1].split(",")]
     assert vals[:2] == [0.0, 0.0]
+
+
+def _atoms_csv(tmp_path):
+    atoms = tmp_path / "atoms.csv"
+    rng = np.random.default_rng(15)
+    atoms.write_text("\n".join(",".join("%.17g" % v for v in row)
+                               for row in rng.standard_normal((40, 2))))
+    return str(atoms)
+
+
+# flags that crashed (exit 1), wrote NaN or a negative content with exit 0,
+# or ended as a numeric failure (3) or non-convergence (4)
+_BAD_FLAGS = [
+    ("contour --beta 0.5 --rays 0", "--rays"),
+    ("contour --beta 0.5 --rays -3", "--rays"),
+    ("contour --beta 0.5 --tol nan", "--tol"),
+    ("quantile --alpha 0.5 --direction 1,x", "--direction"),
+    ("quantile --alpha 0.5 --direction nan,1", "--direction"),
+    ("quantile --alpha 0.5 --direction inf,0", "--direction"),
+    ("quantile --alpha 0.5 --direction 1,0 --tol nan", "--tol"),
+    ("quantile --alpha 0.5 --direction 1,0 --tol -1", "--tol"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _BAD_FLAGS, ids=[
+    a.replace(" --", ":").replace(" ", "=") for a, _ in _BAD_FLAGS])
+def test_invalid_flag_values_exit_2_naming_the_flag(tmp_path, capsys, argv,
+                                                   flag):
+    code = run(argv.split() + ["--csv", _atoms_csv(tmp_path)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+def test_content_radius_must_be_finite_and_not_negative(capsys, radius):
+    code = run(["content", "--family", "gaussian", "--dim", "3",
+                f"--radius={radius}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--radius" in captured.err and captured.out == ""
+
+
+def test_content_radius_zero_is_the_empty_ball(capsys):
+    assert run(["content", "--family", "gaussian", "--dim", "3",
+                "--radius", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["content"] == 0.0

@@ -358,3 +358,12 @@ def test_chandrupatla_equals_find_root(maxiter, monkeypatch):
         assert np.array_equal(x, want_x, equal_nan=True)
         assert np.array_equal(ok, want_ok)
         assert ok.any() and not ok.all()
+
+
+@pytest.mark.parametrize("n_rays", [0, -3])
+def test_contour_needs_a_ray(n_rays):
+    for ev in (gr.RankEvaluator(gr.Empirical(np.eye(2))),
+               gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))):
+        for beta in (0.0, 0.5):
+            with pytest.raises(ValueError, match="n_rays"):
+                gr.contour(ev, beta, n_rays=n_rays)

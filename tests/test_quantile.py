@@ -1,6 +1,8 @@
 """Quantile solver: objective values, inversion of the rank map, and the
 equivariance properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,53 @@ def test_start_and_collinearity_are_cached():
     line = gr.RankEvaluator(gr.Empirical(np.outer([0.0, 1.0, 3.0], [1, 2])))
     assert line.atoms_collinear is True
     assert gr.RankEvaluator(gr.Empirical(FIVE[:2])).atoms_collinear is True
+
+
+def _one_pass_atom_minimizer(ev, alpha_u, x):
+    """_atom_minimizer with the whole cloud in one piece."""
+    atoms, weights = ev.atoms()
+    gap = atoms - x
+    j = int(np.argmin(np.einsum("ij,ij->i", gap, gap)))
+    z = atoms[j].copy()
+    w_z = float(weights[np.all(atoms == z, axis=1)].sum())
+    return z if np.linalg.norm(ev.rank(z) - alpha_u) <= w_z else None
+
+
+def test_atom_minimizer_in_blocks_equals_one_pass(monkeypatch):
+    # blocks of 7 atoms; atom 3 has copies in the third and sixth blocks,
+    # and together they outweigh the rest, so the spatial median sits on it
+    monkeypatch.setattr(quantile, "_EVAL_BLOCK", 7)
+    rng = np.random.default_rng(12)
+    atoms = rng.standard_normal((50, 2))
+    atoms[[17, 40]] = atoms[3]
+    w = rng.uniform(0.5, 1.5, 50)
+    w[[3, 17, 40]] = 30.0
+    ev = gr.RankEvaluator(gr.Empirical(atoms, w / w.sum()))
+    xs = [atoms[3] + 1e-3, atoms[8] + 1e-3, 0.5 * (atoms[5] + atoms[30]),
+          np.array([9.0, -9.0])]
+    found = 0
+    for x in xs:
+        for alpha_u in (np.zeros(2), np.array([0.3, 0.0]),
+                        np.array([0.0, -0.95])):
+            got = quantile._atom_minimizer(ev, alpha_u, x)
+            want = _one_pass_atom_minimizer(ev, alpha_u, x)
+            assert (got is None) == (want is None)
+            if got is not None:
+                found += 1
+                assert got.tobytes() == want.tobytes()
+    assert found > 0
+
+
+def test_atom_minimizer_allocates_nothing_in_proportion_to_the_cloud():
+    # in one piece it held an (n, d) difference array: 4.8 MB here
+    atoms = np.random.default_rng(13).standard_normal((200_000, 3))
+    ev = gr.RankEvaluator(gr.Empirical(atoms))
+    x, alpha_u = np.array([0.3, 0.2, -0.1]), np.array([0.1, 0.0, 0.0])
+    quantile._atom_minimizer(ev, alpha_u, x)
+    tracemalloc.start()
+    try:
+        quantile._atom_minimizer(ev, alpha_u, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < atoms.nbytes / 2

@@ -16,6 +16,7 @@ from georank import _quadrature, reconstruct
 from georank._quadrature import bessel_j0_integral, sphere_rule
 from georank.errors import (ConfigError, DecayError, ParityError,
                             ToleranceError)
+from georank.measures import _row_dots
 
 CFG = gr.ReconstructionConfig
 
@@ -868,3 +869,41 @@ def test_even_singular_tolerance_error_when_unattainable():
         cfg = CFG(method="singular", radii=radii, tolerance=0.5 * delta)
         with pytest.raises(ToleranceError):
             gr.reconstruct_even_singular(ev, cfg)
+
+
+def test_bump_gradients_in_place_equal_the_one_shot_formulas():
+    rng = np.random.default_rng(14)
+    for d, m in ((1, 8), (3, 8), (3, 4), (3, 5)):
+        psi = gr.PolynomialBump(rng.standard_normal(d), 0.9, m=m)
+        x = psi.center + rng.uniform(-1.2, 1.2, (500, d))
+        x_before = x.copy()
+        y = x - psi.center
+        a2 = psi.radius ** 2
+        s = _row_dots(y, y) / a2
+        t = 2.0 * y / a2
+        grad = psi._w(s, 1)[:, None] * t
+        coef = ((4.0 * s / a2) * psi._w(s, 3)
+                + ((4.0 + 2.0 * d) / a2) * psi._w(s, 2))
+        assert psi.gradient(x).tobytes() == grad.tobytes()
+        assert psi.grad_laplacian(x).tobytes() == (coef[:, None] * t).tobytes()
+        assert psi.gradient(x[0]).tobytes() == grad[0].tobytes()
+        assert np.array_equal(x, x_before)      # the caller's points stay
+
+
+def test_identity_on_atoms_peaks_below_its_former_transient():
+    # the cloud-solve rule (24, 16, 32) with 8 of 24 atoms in supp psi:
+    # 4.53 MB while each gradient took three (N, d) arrays and every ring
+    # block its own copy of the far atoms
+    few = np.random.default_rng(1).standard_normal((24, 3)) * 0.7
+    ev = gr.RankEvaluator(gr.Empirical(few))
+    psi = gr.PolynomialBump(few[0], 0.8)
+    run = lambda: gr.verify_identity_on_test_function(
+        psi, ev, n_radial=24, n_polar=16, n_azimuth=32)
+    res = run()
+    tracemalloc.start()
+    try:
+        assert run() == res
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
