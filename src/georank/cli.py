@@ -108,17 +108,34 @@ def _build_parser():
     return parser
 
 
+def _config_value(key, typ, val):
+    """A --config value as its flag's type: any other value acts as its
+    text would on the command line, and a boolean flag takes only true or
+    false.  null is the flag's default.  A value that does not convert is a
+    ConfigError naming the key."""
+    if val is None or type(val) is typ:
+        return val
+    try:
+        if typ is not bool and not isinstance(val, bool):
+            return typ(str(val))
+    except ValueError:
+        pass
+    raise ConfigError(f"--config value for {key} is not "
+                      f"{'an' if typ is int else 'a'} {typ.__name__}")
+
+
 def _merge_config(args):
     """Apply --config JSON defaults, then the flag-table defaults.  A key
-    that names no flag of the subcommand is a ConfigError."""
-    table = {name.lstrip("-").replace("-", "_"): default
-             for name, _, default, _ in _FLAGS[args.command]}
+    that names no flag of the subcommand, or a value that is not of its
+    flag's type, is a ConfigError."""
+    table = {name.lstrip("-").replace("-", "_"): (typ, default)
+             for name, typ, default, _ in _FLAGS[args.command]}
     cfg = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("--config must hold a JSON object")
@@ -127,11 +144,11 @@ def _merge_config(args):
             raise ConfigError(f"--config keys that name no flag of "
                               f"{args.command}: {', '.join(unknown)}")
     merged = argparse.Namespace()
-    for key, default in table.items():
+    for key, (typ, default) in table.items():
         val = getattr(args, key, None)
         if val is None:
-            val = cfg.get(key, default)
-        setattr(merged, key, val)
+            val = _config_value(key, typ, cfg.get(key))
+        setattr(merged, key, default if val is None else val)
     merged.command = args.command
     return merged
 

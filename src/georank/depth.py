@@ -142,6 +142,8 @@ def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
         raise ValueError("beta must lie in [0, 1)")
     if n_rays < 1:
         raise ValueError(f"n_rays must be at least 1, got {n_rays}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if beta == 0.0:
         if ev.profile is not None:
             return DepthContour(beta, "radial", r_beta=0.0)
@@ -273,6 +275,8 @@ def probability_content_surface(ev: RankEvaluator, radius: float,
         raise ParityError("surface-integral content requires odd d "
                           "(fractional surface integrand otherwise)")
     R = float(radius)
+    if not 0.0 <= R < np.inf:
+        raise ValueError(f"radius must be finite and at least 0, got {R}")
     if d == 1:
         lo = ev.rank(np.array([-R]))[0]
         hi = ev.rank(np.array([R]))[0]

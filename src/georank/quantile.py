@@ -113,6 +113,8 @@ def solve_quantile(ev: RankEvaluator, q: QuantileQuery,
     appended to it; a NonConvergenceError carries the same values as
     ``history``.
     """
+    if tol is not None and not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if ev.profile is not None:
         if q.alpha == 0.0:
             return np.zeros(ev.d)

@@ -1,16 +1,19 @@
 """Evaluation of the geometric rank field R(x) = E[(x-Z)/|x-Z|], its
-derivatives, divergence and Jacobian, plus uniform-grid sampling and centered
-finite differences.
+divergence and Jacobian, plus uniform-grid sampling and centered finite
+differences.
 
-Kernel derivatives are exact: every partial derivative of the unit-vector
-kernel K(x) = x/|x| is a finite sum of terms c * x^p / |x|^m, and that
-representation is closed under differentiation.  Expectations of kernel
-derivatives therefore carry no finite-difference noise.
+Each derivative has one source.  The Jacobian, and its trace the divergence,
+is exact: the kernel's first derivative (I - u u^T)/|x - z| summed over
+atoms, or the closed form's profile g and g'.  Higher derivatives are finite
+differences of a sampled grid.  A sum over atoms has no pointwise density
+off the atoms (for P = delta_0 the reconstruction of x/|x| is a point mass
+at 0), so exact higher kernel derivatives are not evaluated; the weak form
+answers there.
 """
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -23,50 +26,6 @@ from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
 
 _ATOM_TOL = 1e-12
 _GRID_NODE_CAP = 10_000_000
-
-
-# ---------------------------------------------------------------------------
-# Exact kernel derivatives: terms c * x^p / |x|^m
-# ---------------------------------------------------------------------------
-
-def _diff_terms(terms: dict, j: int, d: int) -> dict:
-    """Differentiate sum of c * x^p / |x|^m with respect to x_j."""
-    out = {}
-    for (p, m), c in terms.items():
-        if p[j] > 0:
-            q = list(p)
-            q[j] -= 1
-            key = (tuple(q), m)
-            out[key] = out.get(key, 0.0) + c * p[j]
-        q = list(p)
-        q[j] += 1
-        key = (tuple(q), m + 2)
-        out[key] = out.get(key, 0.0) - c * m
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-@lru_cache(maxsize=512)
-def kernel_derivative_terms(d: int, alpha: tuple, i: int):
-    """Term representation of d^alpha K_i for the d-dimensional kernel."""
-    p0 = tuple(1 if k == i else 0 for k in range(d))
-    terms = {(p0, 1): 1.0}
-    for j, a in enumerate(alpha):
-        for _ in range(a):
-            terms = _diff_terms(terms, j, d)
-    return tuple(terms.items())
-
-
-def _eval_terms(terms, y: np.ndarray) -> np.ndarray:
-    """Evaluate a term representation at rows of y (n, d)."""
-    r = np.linalg.norm(y, axis=-1)
-    out = np.zeros(y.shape[:-1])
-    for (p, m), c in terms:
-        v = np.full(y.shape[:-1], c)
-        for k, pk in enumerate(p):
-            if pk:
-                v = v * y[..., k] ** pk
-        out += v / r ** m
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +112,6 @@ def _finite_points(x):
 
 
 _AT_ATOM = f"point within {_ATOM_TOL} of an atom; derivative undefined"
-
-
-def _check_not_atom(dist):
-    if dist.min() < _ATOM_TOL:
-        raise SingularityError(_AT_ATOM)
 
 
 # ---------------------------------------------------------------------------
@@ -360,74 +314,19 @@ class RankEvaluator:
     # -- derivatives ----------------------------------------------------------
 
     def rank_derivative(self, x, alpha) -> np.ndarray:
-        """d^alpha R at x, as the expectation of the exact kernel derivative.
-
-        alpha is a length-d multi-index.  For closed-form radial measures the
-        derivative is assembled from the profile functions instead
-        (supported up to |alpha| = 2).
-        """
+        """d^alpha R at x for a length-d multi-index alpha with |alpha| <= 1:
+        R(x), or for alpha = e_j column j of jacobian(x).  Higher orders are
+        finite differences of a sampled grid (sample_grid, fd_derivative)."""
         x = _finite_points(x)
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.d or any(a < 0 for a in alpha):
             raise ValueError(f"alpha must be a length-{self.d} multi-index")
         order = sum(alpha)
-        if order == 0:
-            return self.rank(x)
-        if order > self.d:
-            raise ValueError("kernel derivatives beyond |alpha| = d are not "
-                             "needed and not supported")
-        if self._profile is not None:
-            return self._radial_derivative(x, alpha)
-        atoms, weights = self.atoms()
-        out = np.zeros(self.d)
-        for _, cols, diff, dist in _pair_blocks(x[None, :], atoms):
-            _check_not_atom(dist)
-            out += [_eval_terms(kernel_derivative_terms(self.d, alpha, i),
-                                diff[:, 0].T) @ weights[cols]
-                    for i in range(self.d)]
-        return out
-
-    def _psi_derivatives(self, r: float):
-        """psi = g/r and its first two derivatives at radius r."""
-        p = self._profile
-        psi = p.g_over_r(r)
-        psi1 = (p.g_prime(r) - psi) / r
-        g2 = p.h_prime(r) - (self.d - 1) * psi1       # g'' from h' identity
-        psi2 = g2 / r - 2.0 * p.g_prime(r) / r ** 2 + 2.0 * psi / r ** 2
-        return psi, psi1, psi2
-
-    def _radial_derivative(self, x, alpha):
-        order = sum(alpha)
-        if order > 2:
-            raise ValueError("radial closed-form derivatives supported up to "
-                             "|alpha| = 2; sample a grid and use finite "
-                             "differences beyond")
-        r = float(np.linalg.norm(x))
-        if r < 1e-9:
-            # at the center: R ~ g'(0) x + O(|x|^3); first derivatives are
-            # g'(0) delta_ij, second derivatives vanish by symmetry
-            j = np.nonzero(alpha)[0]
-            if order == 1:
-                out = np.zeros(self.d)
-                out[j[0]] = self._profile.g_prime(0.0)
-                return out
-            return np.zeros(self.d)
-        xhat = x / r
-        psi, psi1, psi2 = self._psi_derivatives(r)
-        if order == 1:
-            j = int(np.nonzero(alpha)[0][0])
-            out = psi1 * xhat[j] * x
-            out[j] += psi
-            return out
-        # order == 2: alpha = e_j + e_k
-        idx = [i for i, a in enumerate(alpha) for _ in range(a)]
-        j, k = idx[0], idx[1]
-        djk = 1.0 if j == k else 0.0
-        out = (psi2 * xhat[k] * xhat[j] * x
-               + psi1 * ((djk - xhat[j] * xhat[k]) / r) * x)
-        out[k] += psi1 * xhat[j]
-        out[j] += psi1 * xhat[k]
-        return out
+        if order > 1:
+            raise ValueError("rank derivatives beyond the first order are "
+                             "not evaluated pointwise; sample a grid with "
+                             "sample_grid and use fd_derivative")
+        return self.jacobian(x)[:, alpha.index(1)] if order else self.rank(x)
 
     # -- divergence / jacobian -------------------------------------------------
 
@@ -444,7 +343,8 @@ class RankEvaluator:
         atoms, weights = self.atoms()
         out = np.zeros(pts.shape[0])
         for rows, cols, _, dist in _pair_blocks(pts, atoms):
-            _check_not_atom(dist)
+            if dist.min() < _ATOM_TOL:
+                raise SingularityError(_AT_ATOM)
             out[rows] += np.divide(1.0, dist, out=dist) @ weights[cols]
         return (self.d - 1) * out
 

@@ -86,6 +86,14 @@ class ReconstructionConfig:
             raise ValueError("fd_order must be 2 or 4")
         if not 0.0 < self.extension_height <= 0.5:
             raise ValueError("extension_height must lie in (0, 0.5]")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if min(self.n_theta, self.n_polar) < 1:
+            raise ValueError("n_theta and n_polar must be at least 1")
+        for name, val in (("radii", self.radii), ("points", self.points)):
+            if val is not None and not (np.size(val) and np.isfinite(
+                    np.asarray(val, dtype=float)).all()):
+                raise ValueError(f"{name} must be finite and non-empty")
 
     def echo(self) -> dict:
         return dict(self.__dict__)
@@ -514,6 +522,8 @@ def poisson_smooth(measure: Measure, pts: np.ndarray, t: float) -> np.ndarray:
     quadrature against the density otherwise: each point keeps its own
     polar rule and sum, and the density sees the rings of every point in
     blocks from ring_blocks."""
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d = pts.shape[1]
     C = _poisson_constant(d)

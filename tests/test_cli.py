@@ -719,3 +719,58 @@ def test_content_radius_zero_is_the_empty_ball(capsys):
     assert run(["content", "--family", "gaussian", "--dim", "3",
                 "--radius", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["content"] == 0.0
+
+
+def test_config_string_value_acts_as_the_flag(tmp_path):
+    # a --config string parses with its flag's type, as on the command line
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"rays": "8"}))
+    argv = ["contour", "--beta", "0.5", "--csv", _atoms_csv(tmp_path)]
+    assert run(argv + ["--config", str(cfg), "-o", str(tmp_path / "a")]) == 0
+    assert run(argv + ["--rays", "8", "-o", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+# --config values that crashed with a TypeError (exit 1) or were taken as
+# truthy, each with the key the refusal must name; a number acts as its
+# text, so 2.0 is no int
+_BAD_CONFIG = [
+    ("contour --beta 0.5", {"rays": "8.5"}, "rays"),
+    ("contour --beta 0.5", {"rays": 8.5}, "rays"),
+    ("contour --beta 0.5", {"rays": True}, "rays"),
+    ("contour --beta 0.5", {"tol": "x"}, "tol"),
+    ("quantile --alpha 0.5 --direction 1,0", {"tol": "x"}, "tol"),
+    ("quantile --direction 1,0", {"alpha": "half"}, "alpha"),
+    ("quantile --alpha 0.5 --direction 1,0", {"dim": 2.0}, "dim"),
+    ("reconstruct --method extension", {"reference": "yes"}, "reference"),
+]
+
+
+@pytest.mark.parametrize("argv, cfg, key", _BAD_CONFIG,
+                         ids=[f"{a.split()[0]}:{c}" for a, c, _ in _BAD_CONFIG])
+def test_config_value_not_of_the_flag_type_exits_2(tmp_path, capsys, argv,
+                                                   cfg, key):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = run(argv.split() + ["--csv", _atoms_csv(tmp_path), "--config",
+                               str(conf), "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"georank: configuration error: --config value "
+                          f"for {key} is not ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data", [b'{"rays": 1' + b"0" * 5000 + b"}",
+                                  b'{"rays": "\xff"}'],
+                         ids=["int-past-the-digit-limit", "not-utf8"])
+def test_config_file_json_cannot_read_exits_2(tmp_path, capsys, data):
+    # both raised a ValueError that ended as a numeric failure (exit 3)
+    conf = tmp_path / "conf.json"
+    conf.write_bytes(data)
+    code = run(["contour", "--family", "gaussian", "--dim", "2", "--beta",
+                "0.5", "--config", str(conf)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "georank: configuration error: cannot read --config:")

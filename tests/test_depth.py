@@ -367,3 +367,21 @@ def test_contour_needs_a_ray(n_rays):
         for beta in (0.0, 0.5):
             with pytest.raises(ValueError, match="n_rays"):
                 gr.contour(ev, beta, n_rays=n_rays)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_contour_needs_a_positive_finite_tol(tol):
+    # tol nan was reported as "evaluation points must be finite"
+    for ev in (gr.RankEvaluator(gr.Empirical(np.eye(2))),
+               gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))):
+        with pytest.raises(ValueError, match="tol"):
+            gr.contour(ev, 0.5, tol=tol)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])
+def test_content_radius_must_be_finite_and_not_negative(radius):
+    # radius nan returned nan
+    for ev in (gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3)),
+               gr.RankEvaluator(gr.Empirical(np.array([[-1.0], [2.0]])))):
+        with pytest.raises(ValueError, match="radius"):
+            gr.probability_content_surface(ev, radius)

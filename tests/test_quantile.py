@@ -353,3 +353,14 @@ def test_atom_minimizer_allocates_nothing_in_proportion_to_the_cloud():
     finally:
         tracemalloc.stop()
     assert peak < atoms.nbytes / 2
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+def test_solve_quantile_needs_a_positive_finite_tol(tol):
+    # tol 0 or nan ran all iterations and ended in NonConvergenceError
+    q = gr.QuantileQuery(0.5, _unit([1.0, 0.0]))
+    rng = np.random.default_rng(3)
+    for ev in (gr.RankEvaluator(gr.Empirical(rng.standard_normal((30, 2)))),
+               gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))):
+        with pytest.raises(ValueError, match="tol"):
+            gr.solve_quantile(ev, q, tol)

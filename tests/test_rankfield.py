@@ -1,5 +1,5 @@
-"""Rank evaluation, exact kernel derivatives, grid sampling, and the
-finite-difference stencils."""
+"""Rank evaluation, the Jacobian as the one source of first derivatives,
+grid sampling, and the finite-difference stencils."""
 
 import tracemalloc
 
@@ -10,8 +10,7 @@ import georank as gr
 from georank import rankfield
 from georank.errors import (BudgetError, DomainError, SingularityError,
                             StencilOverflowError, UnsupportedVariantError)
-from georank.rankfield import (kernel_derivative_terms, _eval_terms,
-                               _grid_nodes, _neg_laplacian)
+from georank.rankfield import _grid_nodes, _neg_laplacian
 from georank.measures import _row_norms
 
 
@@ -95,49 +94,8 @@ def test_rank_oddness_under_reflection():
 
 
 # ---------------------------------------------------------------------------
-# kernel derivatives
+# derivatives
 # ---------------------------------------------------------------------------
-
-def test_kernel_first_derivative_closed_form():
-    # d1 K1 = (|x|^2 - x1^2)/|x|^3 vanishes at (1, 0)
-    terms = kernel_derivative_terms(2, (1, 0), 0)
-    val = _eval_terms(terms, np.array([[1.0, 0.0]]))[0]
-    assert val == pytest.approx(0.0, abs=1e-15)
-    # generic point: compare against the J_K formula (I - u u^T)/|x|
-    x = np.array([[0.7, -1.2]])
-    r = np.linalg.norm(x)
-    u = x[0] / r
-    for i in range(2):
-        for j in range(2):
-            alpha = tuple(1 if k == j else 0 for k in range(2))
-            got = _eval_terms(kernel_derivative_terms(2, alpha, i), x)[0]
-            want = ((1.0 if i == j else 0.0) - u[i] * u[j]) / r
-            assert got == pytest.approx(want, rel=1e-13)
-
-
-def _nested_central_diff(fun, x, alpha, h):
-    for axis, n in enumerate(alpha):
-        for _ in range(n):
-            fun = (lambda f, ax: lambda pt:
-                   (f(pt + h * np.eye(len(pt))[ax])
-                    - f(pt - h * np.eye(len(pt))[ax])) / (2 * h))(fun, axis)
-    return fun(x)
-
-
-def test_kernel_derivative_matches_finite_differences_high_order():
-    # step sizes per derivative order balance truncation against the
-    # eps/h^k roundoff amplification of nested central differences
-    cases = [((1, 0, 0), 1e-5, 1e-6), ((0, 1, 1), 1e-4, 1e-6),
-             ((2, 0, 0), 1e-4, 1e-6), ((1, 1, 1), 5e-3, 1e-3),
-             ((2, 1, 0), 5e-3, 1e-3)]
-    x = np.array([[0.9, -0.4, 1.3]])
-    for alpha, h, tol in cases:
-        for i in range(3):
-            got = _eval_terms(kernel_derivative_terms(3, alpha, i), x)[0]
-            k_i = lambda pt, ii=i: pt[ii] / np.linalg.norm(pt)
-            want = _nested_central_diff(k_i, x[0], alpha, h)
-            assert got == pytest.approx(want, abs=tol)
-
 
 def test_rank_derivative_zeroth_order_is_rank():
     ev = _ev_empirical([[1.0, 2.0], [-0.5, 0.3]])
@@ -177,24 +135,36 @@ def test_radial_first_derivatives_match_fd():
                 e = np.zeros(d)
                 e[j] = h
                 fd = (ev.rank(x + e) - ev.rank(x - e)) / (2 * h)
+                assert np.max(np.abs(ev.jacobian(x)[:, j] - fd)) <= 1e-6
                 alpha = tuple(1 if k == j else 0 for k in range(d))
                 got = ev.rank_derivative(x, alpha)
                 assert np.max(np.abs(got - fd)) <= 1e-6
 
 
-def test_radial_second_derivatives_match_fd():
-    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3))
-    x = np.array([0.8, -0.5, 0.4])
-    h = 1e-4
-    e0 = np.array([h, 0, 0])
-    e1 = np.array([0, h, 0])
-    fd_xx = (ev.rank(x + e0) - 2 * ev.rank(x) + ev.rank(x - e0)) / h ** 2
-    got_xx = ev.rank_derivative(x, (2, 0, 0))
-    assert np.max(np.abs(got_xx - fd_xx)) <= 1e-5
-    fd_xy = (ev.rank(x + e0 + e1) - ev.rank(x + e0 - e1)
-             - ev.rank(x - e0 + e1) + ev.rank(x - e0 - e1)) / (4 * h ** 2)
-    got_xy = ev.rank_derivative(x, (1, 1, 0))
-    assert np.max(np.abs(got_xy - fd_xy)) <= 1e-5
+_DERIVATIVE_FIELDS = {
+    "cloud": lambda: _ev_empirical(
+        np.random.default_rng(4).standard_normal((30, 3))),
+    "gaussian": lambda: gr.RankEvaluator(gr.RadialClosedForm("gaussian", 3)),
+    "cauchy": lambda: gr.RankEvaluator(gr.RadialClosedForm("cauchy", 2)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_DERIVATIVE_FIELDS))
+def test_first_rank_derivatives_are_the_jacobian_columns(field):
+    ev = _DERIVATIVE_FIELDS[field]()
+    x = np.linspace(0.4, -0.7, ev.d)
+    J = ev.jacobian(x)
+    for j, e in enumerate(np.eye(ev.d, dtype=int)):
+        assert np.array_equal(ev.rank_derivative(x, tuple(e)), J[:, j])
+
+
+@pytest.mark.parametrize("field", sorted(_DERIVATIVE_FIELDS))
+def test_second_rank_derivatives_are_refused(field):
+    ev = _DERIVATIVE_FIELDS[field]()
+    x = np.linspace(0.4, -0.7, ev.d)
+    for alpha in ((2,) + (0,) * (ev.d - 1), (1, 1) + (0,) * (ev.d - 2)):
+        with pytest.raises(ValueError, match="fd_derivative"):
+            ev.rank_derivative(x, alpha)
 
 
 def test_rank_derivative_singularity_error():

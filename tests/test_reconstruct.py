@@ -907,3 +907,23 @@ def test_identity_on_atoms_peaks_below_its_former_transient():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", np.nan), ("tolerance", np.inf), ("tolerance", 0.0),
+    ("n_theta", 0), ("n_polar", 0),
+    ("radii", np.array([0.5, np.nan])), ("radii", np.array([np.inf])),
+    ("radii", np.array([])),
+    ("points", np.array([[0.5, np.nan]])), ("points", np.zeros((0, 2)))])
+def test_config_refuses_values_that_break_a_route(field, value):
+    # nan turned the refinement check off, 0 nodes divided by zero, and
+    # non-finite or empty radii wrote nan or failed inside np.max
+    with pytest.raises(ValueError, match=field):
+        CFG(method="singular", **{field: value})
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+def test_poisson_smooth_needs_a_positive_finite_height(t):
+    for m in (gr.Empirical(np.eye(2)), gr.RadialClosedForm("cauchy", 2)):
+        with pytest.raises(ValueError, match="t must be positive"):
+            gr.poisson_smooth(m, np.zeros((1, 2)), t)
