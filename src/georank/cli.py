@@ -35,6 +35,7 @@ _EXIT_SELFTEST = 1
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_NONCONV = 4
+_FORMATS = ("csv", "json")
 
 # flag table per subcommand: (name, type, default, help)
 _COMMON_FLAGS = [
@@ -126,8 +127,8 @@ def _config_value(key, typ, val):
 
 def _merge_config(args):
     """Apply --config JSON defaults, then the flag-table defaults.  A key
-    that names no flag of the subcommand, or a value that is not of its
-    flag's type, is a ConfigError."""
+    that names no flag of the subcommand, a value that is not of its
+    flag's type, or a format other than csv and json, is a ConfigError."""
     table = {name.lstrip("-").replace("-", "_"): (typ, default)
              for name, typ, default, _ in _FLAGS[args.command]}
     cfg = {}
@@ -149,6 +150,9 @@ def _merge_config(args):
         if val is None:
             val = _config_value(key, typ, cfg.get(key))
         setattr(merged, key, default if val is None else val)
+    if getattr(merged, "format", "csv") not in _FORMATS:
+        raise ConfigError(f"--format must be csv or json, got "
+                          f"{merged.format!r}")
     merged.command = args.command
     return merged
 

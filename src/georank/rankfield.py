@@ -13,11 +13,11 @@ answers there.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from . import _write
+from . import _threads, _write
 from ._quadrature import _EVAL_BLOCK
 from .errors import (BudgetError, DomainError, ParseError, SingularityError,
                      StencilOverflowError, UnsupportedVariantError)
@@ -32,39 +32,93 @@ _GRID_NODE_CAP = 10_000_000
 # Point x atom kernel sums
 # ---------------------------------------------------------------------------
 
-def _pair_blocks(pts: np.ndarray, atoms: np.ndarray):
-    """The one point x atom loop behind every kernel sum.
-
-    Yields (rows, cols, diff, dist) per block of at most _EVAL_BLOCK pairs:
-    slices of pts (m, d) and atoms (n, d), split too past _EVAL_BLOCK atoms;
-    the differences x_k - z_k as d contiguous (rows, cols) arrays; |x - z|.
-    Both arrays are buffers that callers may overwrite and the next block
-    reuses: fresh ones cost page faults, half the time of a block.
-
-    The atoms are read chunk by chunk, each chunk copied once into one
-    (d, chunk) buffer that every row block then reads, so no allocation is
-    proportional to the cloud: a call holds one block and one chunk.  Each
-    row still meets the chunks in index order, so a sum `out[rows] +=` over
-    the blocks has the same bits as with the rows outside.
-    """
-    (m, d), n = pts.shape, atoms.shape[0]
+def _block_shape(n: int):
+    """(atoms, rows) per block of the point x atom loop for a cloud of n
+    atoms: at most _EVAL_BLOCK pairs, the atoms split past _EVAL_BLOCK."""
     n_blk = max(1, min(n, _EVAL_BLOCK))
-    m_blk = _EVAL_BLOCK // n_blk
-    buf = np.empty((d + 1) * min(m, m_blk) * n_blk)
+    return n_blk, _EVAL_BLOCK // n_blk
+
+
+def _atom_chunks(atoms: np.ndarray, n_blk: int):
+    """Yields (cols, z) per chunk of n_blk atoms of atoms (n, d): cols
+    slices the atoms, and z is the chunk's coordinates, (d, 1, chunk),
+    copied into one buffer that the next chunk overwrites, so no allocation
+    is proportional to the cloud."""
+    n, d = atoms.shape
     chunk = np.empty((d, n_blk))
     for a_lo in range(0, n, n_blk):
         cols = slice(a_lo, a_lo + n_blk)
         z = chunk[:, :min(n - a_lo, n_blk)]
         np.copyto(z, atoms[cols].T)
-        z = z[:, None, :]
+        yield cols, z[:, None, :]
+
+
+def _pair_block(pts, rows, z, buf):
+    """The block arithmetic behind every kernel sum, for the rows of pts
+    (m, d) against the chunk z: the differences x_k - z_k as d contiguous
+    (rows, cols) arrays, and |x - z|, both in buf, which callers may
+    overwrite and the next block reuses: fresh arrays cost page faults,
+    half the time of a block."""
+    d = z.shape[0]
+    x = pts[rows].T[:, :, None]
+    shape = (x.shape[1], z.shape[2])
+    size = shape[0] * shape[1]
+    diff = np.subtract(x, z, out=buf[:d * size].reshape((d,) + shape))
+    dist = buf[d * size:(d + 1) * size].reshape(shape)
+    np.sqrt(np.einsum("kmn,kmn->mn", diff, diff, out=dist), out=dist)
+    return diff, dist
+
+
+def _pair_blocks(pts: np.ndarray, atoms: np.ndarray):
+    """Yields (rows, cols, diff, dist) per block of _pair_block, each row
+    block of pts against each chunk of atoms, for the callers that do more
+    than add a block's sum into rows: single points, and the CLI's at_atom
+    column.  A call holds one pair buffer and one chunk copy."""
+    (m, d), n = pts.shape, atoms.shape[0]
+    n_blk, m_blk = _block_shape(n)
+    buf = np.empty((d + 1) * min(m, m_blk) * n_blk)
+    for cols, z in _atom_chunks(atoms, n_blk):
         for lo in range(0, m, m_blk):
-            x = pts[lo:lo + m_blk].T[:, :, None]
-            shape = (x.shape[1], z.shape[2])
-            size = shape[0] * shape[1]
-            diff = np.subtract(x, z, out=buf[:d * size].reshape((d,) + shape))
-            dist = buf[d * size:(d + 1) * size].reshape(shape)
-            np.sqrt(np.einsum("kmn,kmn->mn", diff, diff, out=dist), out=dist)
-            yield slice(lo, lo + m_blk), cols, diff, dist
+            rows = slice(lo, lo + m_blk)
+            yield (rows, cols) + _pair_block(pts, rows, z, buf)
+
+
+def _pair_sums(pts, atoms, block_fn, out):
+    """out[rows] += block_fn(diff, dist, cols) over every block of
+    _pair_block, and out.
+
+    Each row meets the chunks in index order, so the sums have the same
+    bits as with the rows outside.  With 4 or more row blocks (fewer do not
+    repay a handoff) and 2 CPUs, the helper thread of _threads takes the
+    odd row blocks of each chunk into a second pair buffer, both threads
+    reading the one chunk copy, and both finish before the next chunk is
+    copied: every row meets the same blocks in the same order, so the bits
+    are those of one thread.  block_fn runs on the helper too: private
+    arithmetic and raw ufuncs only.
+    """
+    (m, d), n = pts.shape, atoms.shape[0]
+    n_blk, m_blk = _block_shape(n)
+    starts = range(0, m, m_blk)
+    step = 2 if len(starts) >= 4 and _threads.parallel() else 1
+    # the helper allocates its own buffer, in its own malloc arena: two
+    # buffers freed from the caller's heap at once got it trimmed, and the
+    # caller's next allocations page-faulted (192 more faults a cloud-solve
+    # round)
+    size = (d + 1) * min(m, m_blk) * n_blk
+    bufs = [np.empty(size), None]
+    for cols, z in _atom_chunks(atoms, n_blk):
+        def share(k, cols=cols, z=z):
+            if bufs[k] is None:
+                bufs[k] = np.empty(size)
+            for lo in starts[k::step]:
+                rows = slice(lo, lo + m_blk)
+                diff, dist = _pair_block(pts, rows, z, bufs[k])
+                out[rows] += block_fn(diff, dist, cols)
+        if step == 2:
+            _threads.both(partial(share, 0), partial(share, 1))
+        else:
+            share(0)
+    return out
 
 
 def _rank_block(diff, dist, w):
@@ -89,10 +143,10 @@ def _jacobian_block(diff, dist, w):
 
 def _rank_sum(pts, atoms, weights):
     """sum_i w_i (x - z_i)/|x - z_i| at every row x of pts."""
-    out = np.zeros_like(pts)
-    for rows, cols, diff, dist in _pair_blocks(pts, atoms):
-        out[rows] += _rank_block(diff, dist, weights[cols])
-    return out
+    return _pair_sums(pts, atoms,
+                      lambda diff, dist, cols:
+                      _rank_block(diff, dist, weights[cols]),
+                      np.zeros_like(pts))
 
 
 def _row_blocks(m):
@@ -341,12 +395,13 @@ class RankEvaluator:
                 out[rows] = self._profile.h(_row_norms(pts[rows]))
             return out
         atoms, weights = self.atoms()
-        out = np.zeros(pts.shape[0])
-        for rows, cols, _, dist in _pair_blocks(pts, atoms):
+
+        def block(_, dist, cols):
             if dist.min() < _ATOM_TOL:
                 raise SingularityError(_AT_ATOM)
-            out[rows] += np.divide(1.0, dist, out=dist) @ weights[cols]
-        return (self.d - 1) * out
+            return np.divide(1.0, dist, out=dist) @ weights[cols]
+        return (self.d - 1) * _pair_sums(pts, atoms, block,
+                                         np.zeros(pts.shape[0]))
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian of the rank field; symmetric positive semidefinite.  On

@@ -50,7 +50,7 @@ from .errors import (BudgetError, ConfigError, DecayError, ParityError,
 from .measures import (Empirical, Measure, _read_table, _row_dots, _row_norms,
                        density as measure_density)
 from .rankfield import (RankEvaluator, VectorGridField,
-                        _neg_laplacian, _pair_blocks, _rank_sum,
+                        _neg_laplacian, _pair_sums, _rank_sum,
                         fd_divergence, fd_laplacian, sample_grid)
 
 _METHODS = ("odd-local", "singular", "hankel", "extension")
@@ -528,12 +528,13 @@ def poisson_smooth(measure: Measure, pts: np.ndarray, t: float) -> np.ndarray:
     d = pts.shape[1]
     C = _poisson_constant(d)
     if isinstance(measure, Empirical):
-        out = np.zeros(pts.shape[0])
-        for rows, cols, _, dist in _pair_blocks(pts, measure.atoms):
+        weights = measure.weights
+
+        def block(_, dist, cols):
             s = np.add(np.square(dist, out=dist), t * t, out=dist)
-            out[rows] += (np.power(s, -(d + 1) / 2.0, out=s)
-                          @ measure.weights[cols])
-        return C * t * out
+            return np.power(s, -(d + 1) / 2.0, out=s) @ weights[cols]
+        return C * t * _pair_sums(pts, measure.atoms, block,
+                                  np.zeros(pts.shape[0]))
 
     omega, w_ang = (circle_rule(64) if d == 2 else sphere_rule(d, 24, 48))
     rules = [_poisson_radial_rule(float(np.linalg.norm(x)), t) for x in pts]

@@ -159,6 +159,24 @@ def test_content_format_csv_exits_2(tmp_path, capsys):
     assert json.loads(default)["path"] == "analytic"
 
 
+@pytest.mark.parametrize("cmd", ["rank", "content"])
+def test_unknown_format_flag_or_config_exits_2(tmp_path, capsys, cmd):
+    # only csv and json exist; anything else wrote CSV and exited 0
+    argv = {"rank": ["rank", "--family", "gaussian", "--dim", "2",
+                     "--grid=-1:1:3"],
+            "content": ["content", "--family", "gaussian", "--dim", "3",
+                        "--radius", "1"]}[cmd]
+    out = tmp_path / "out.txt"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": 1}))
+    for extra, bad in ((["--format", "xml"], "'xml'"),
+                       (["--config", str(cfg)], "'1'")):
+        assert run(argv + extra + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--format must be csv or json, got {bad}" in err
+        assert not out.exists()
+
+
 def test_content_even_dim_rejected(capsys):
     code = run(["content", "--family", "gaussian", "--dim", "2",
                 "--radius", "1"])

@@ -1,8 +1,15 @@
 """The blocked point x atom engine behind every kernel sum: block boundaries,
-the diagonal, bounded memory, and properties on random clouds."""
+the diagonal, bounded memory, properties on random clouds, and the helper
+thread that takes alternate row blocks."""
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import georank as gr
-from georank import cli, rankfield
+from georank import _threads, cli, rankfield
 from georank.errors import SingularityError
 from georank.reconstruct import _poisson_constant
 from georank.rankfield import _pair_blocks, _rank_block
@@ -317,3 +324,177 @@ def test_atom_fields_peak_within_a_block_of_their_output(call):
         peaks.append(peak)
     # nothing in proportion to the cloud
     assert abs(peaks[1] - peaks[0]) <= 64_000, peaks
+
+
+# ---------------------------------------------------------------------------
+# the helper thread: alternate row blocks, the same bits as one thread
+# ---------------------------------------------------------------------------
+
+def _count_handoffs(monkeypatch):
+    """Route _threads.both through a counter; returns the count list."""
+    calls = []
+    both = _threads.both
+
+    def counted(here, there):
+        calls.append(1)
+        both(here, there)
+    monkeypatch.setattr(_threads, "both", counted)
+    return calls
+
+
+def _atom_sums(cloud, pts):
+    ev = gr.RankEvaluator(cloud)
+    return [_bytes(ev.rank_many(pts)), _bytes(ev.divergence_many(pts)),
+            _bytes(gr.poisson_smooth(cloud, pts, 0.1))]
+
+
+# (block, atoms): one chunk of 40 atoms, two points per row block; chunks
+# of 16 over 70 atoms, the last ragged, one point per row block
+@pytest.mark.parametrize("block, n", [(80, 40), (16, 70)])
+@pytest.mark.parametrize("row_blocks", [1, 3, 4, 5, 31])
+@pytest.mark.parametrize("d", [2, 3])
+def test_helper_thread_sums_have_the_bits_of_one_thread(
+        monkeypatch, block, n, row_blocks, d):
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", block)
+    m_blk = block // min(n, block)
+    cloud, pts = _cloud(20 + d, n, m_blk * (row_blocks - 1) + 1, d)
+    monkeypatch.setattr(_threads, "_CPUS", 1)
+    serial = _atom_sums(cloud, pts)
+    monkeypatch.setattr(_threads, "_CPUS", 2)
+    calls = _count_handoffs(monkeypatch)
+    assert _atom_sums(cloud, pts) == serial
+    # the helper takes a share once per chunk and sum, from 4 row blocks on
+    chunks = -(-n // min(n, block))
+    assert len(calls) == (3 * chunks if row_blocks >= 4 else 0)
+
+
+def test_helper_error_reaches_the_caller_and_the_next_call_works(monkeypatch):
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 16)
+    monkeypatch.setattr(_threads, "_CPUS", 2)
+    cloud, pts = _cloud(30, 16, 6, 2)
+    ev = gr.RankEvaluator(cloud)
+    on_atom = pts.copy()
+    on_atom[3] = cloud.atoms[5]         # row block 3: the helper's share
+    with pytest.raises(SingularityError) as info:
+        ev.divergence_many(on_atom)
+    assert any(e.name == "_serve" for e in info.traceback)
+    got = _bytes(ev.divergence_many(pts))
+    monkeypatch.setattr(_threads, "_CPUS", 1)
+    assert got == _bytes(ev.divergence_many(pts))
+
+
+def test_both_raises_the_helpers_exception_once_both_are_done(monkeypatch):
+    monkeypatch.setattr(_threads, "_CPUS", 2)
+    seen = {}
+
+    def here():
+        time.sleep(0.05)
+        seen["here"] = threading.get_ident()
+
+    def there():
+        seen["there"] = threading.get_ident()
+        raise SingularityError("on the helper")
+    with pytest.raises(SingularityError, match="on the helper"):
+        _threads.both(here, there)
+    assert seen["here"] == threading.get_ident() != seen["there"]
+
+
+def test_callers_errstate_holds_on_the_helper(monkeypatch):
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 16)
+    monkeypatch.setattr(_threads, "_CPUS", 2)
+    cloud, pts = _cloud(31, 16, 6, 2)
+    pts[5] = cloud.atoms[2]             # row block 5: the helper's share
+    t = 1e-160                          # |x - z|^2 + t^2 is 1e-320 there
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            gr.poisson_smooth(cloud, pts, t)
+        with pytest.raises(FloatingPointError):
+            _threads.both(lambda: None,
+                          lambda: np.power(np.array([1e-320]), -1.5))
+    with np.errstate(over="ignore"):
+        out = gr.poisson_smooth(cloud, pts, t)
+    assert np.isinf(out[5]) and np.isfinite(np.delete(out, 5)).all()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+def test_forked_child_starts_its_own_helper(monkeypatch):
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 16)
+    monkeypatch.setattr(_threads, "_CPUS", 1)
+    cloud, pts = _cloud(32, 40, 9, 3)
+    want = _bytes(rankfield._rank_sum(pts, cloud.atoms, cloud.weights))
+    monkeypatch.setattr(_threads, "_CPUS", 2)
+    rankfield._rank_sum(pts, cloud.atoms, cloud.weights)  # helper running
+    assert _threads._jobs is not None
+    with warnings.catch_warnings():
+        # fork with a live helper thread is the case under test
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            fresh = _threads._jobs is None
+            got = _bytes(rankfield._rank_sum(pts, cloud.atoms,
+                                             cloud.weights))
+            ok = fresh and _threads._jobs is not None and got == want
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish in 60 s")
+        time.sleep(0.01)
+    status = done[1]
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_a_call_on_the_helper_runs_serially(monkeypatch):
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 16)
+    monkeypatch.setattr(_threads, "_CPUS", 2)
+    cloud, pts = _cloud(33, 40, 9, 2)
+    want = _bytes(rankfield._rank_sum(pts, cloud.atoms, cloud.weights))
+    seen = {}
+
+    def there():
+        seen["parallel"] = _threads.parallel()
+        seen["sum"] = _bytes(rankfield._rank_sum(pts, cloud.atoms,
+                                                 cloud.weights))
+    caller = threading.Thread(target=_threads.both,
+                              args=(lambda: None, there))
+    caller.start()
+    caller.join(60.0)
+    assert not caller.is_alive()
+    assert seen == {"parallel": False, "sum": want}
+    assert _threads.parallel()
+
+
+def test_concurrent_callers_share_the_helper(monkeypatch):
+    # more calling threads than CPUs, all queueing on the one helper, with
+    # a short switch interval: each sum keeps the bits of one thread
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 64)
+    clouds = [_cloud(40 + k, 30 + 7 * k, 23, 2 + k % 2) for k in range(6)]
+    monkeypatch.setattr(_threads, "_CPUS", 1)
+    want = [_bytes(rankfield._rank_sum(p, c.atoms, c.weights))
+            for c, p in clouds]
+    monkeypatch.setattr(_threads, "_CPUS", 2)
+    got = [[] for _ in clouds]
+
+    def work(k):
+        c, p = clouds[k]
+        for _ in range(20):
+            got[k].append(_bytes(rankfield._rank_sum(p, c.atoms,
+                                                     c.weights)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=work, args=(k,))
+                   for k in range(len(clouds))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [[w] * 20 for w in want]
