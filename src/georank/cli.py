@@ -27,7 +27,7 @@ from .errors import (BudgetError, ConfigError, GeorankError,
 from .measures import RadialClosedForm, _read_table, empirical_from_csv
 from .quantile import QuantileQuery, solve_quantile
 from .rankfield import (_GRID_NODE_CAP, RankEvaluator, _grid_nodes,
-                        _pair_blocks)
+                        _pair_sums)
 from .reconstruct import ReconstructionConfig, reconstruct_density
 
 _EXIT_OK = 0
@@ -251,11 +251,11 @@ def cmd_rank(args):
     names = [f"x{i+1}" for i in range(d)] + [f"r{i+1}" for i in range(d)]
     payload = {"points": pts, "rank": ev.rank_many(pts)}
     if ev.profile is None:
-        at_atom = np.zeros(pts.shape[0], dtype=int)
-        for rows, _, _, dist in _pair_blocks(pts, ev.atoms()[0]):
-            at_atom[rows] |= dist.min(axis=1) < 1e-12
+        near = _pair_sums(pts, ev.atoms()[0], lambda _, dist, cols:
+                          np.count_nonzero(dist < 1e-12, axis=1),
+                          np.zeros(pts.shape[0], dtype=int))
         names.append("at_atom")
-        payload["at_atom"] = at_atom
+        payload["at_atom"] = (near > 0).astype(int)
     if args.format == "json":
         _emit(args, _write.json_text(payload))
     else:                            # columns in payload order
@@ -350,8 +350,12 @@ def cmd_content(args):
     if not 0.0 <= args.radius < np.inf:
         raise ConfigError(f"--radius must be finite and at least 0, got "
                           f"{args.radius}")
-    if ev.d % 2 == 0:
-        raise ConfigError("surface-integral content requires odd dimension")
+    if args.path not in ("analytic", "grid"):
+        raise ConfigError(f"bad --path {args.path!r}; want analytic or grid")
+    if ev.d not in (1, 3):
+        raise ConfigError(f"content is implemented for d = 1 or 3, got {ev.d}")
+    if ev.d == 3 and args.path == "analytic" and ev.profile is None:
+        raise ConfigError("--path analytic needs a closed form; use grid")
     value = probability_content_surface(ev, args.radius, path=args.path)
     payload = {"radius": args.radius, "content": value, "path": args.path}
     if ev.profile is not None:

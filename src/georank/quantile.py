@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateSupportError, NonConvergenceError
 from .measures import invert_g
-from .rankfield import _EVAL_BLOCK, RankEvaluator, _pair_blocks
+from .rankfield import _EVAL_BLOCK, RankEvaluator, _pair_sums
 
 _MAX_ITERS = 200
 _ARMIJO = 1e-4
@@ -59,13 +59,17 @@ def _newton_direction(J, F):
 
 
 def _weiszfeld_step(atoms, weights, alpha_u, x):
-    num, den = alpha_u.copy(), 0.0
-    for _, cols, _, dist in _pair_blocks(x[None, :], atoms):
+    """The Weiszfeld step from x; atoms within 1e-14 of x are left out."""
+    row = np.empty(len(x) + 1)          # a block's numerator, denominator
+
+    def block(_, dist, cols):
         w = np.divide(weights[cols], dist[0], out=np.zeros(dist.shape[1]),
                       where=dist[0] > 1e-14)
-        num += w @ atoms[cols]
-        den += w.sum()
-    return num / den
+        row[:-1] = w @ atoms[cols]
+        row[-1] = w.sum()
+        return row
+    out = _pair_sums(x[None, :], atoms, block, np.append(alpha_u, 0.0)[None])
+    return out[0, :-1] / out[0, -1]
 
 
 def _atom_minimizer(ev: RankEvaluator, alpha_u, x):

@@ -32,13 +32,6 @@ _GRID_NODE_CAP = 10_000_000
 # Point x atom kernel sums
 # ---------------------------------------------------------------------------
 
-def _block_shape(n: int):
-    """(atoms, rows) per block of the point x atom loop for a cloud of n
-    atoms: at most _EVAL_BLOCK pairs, the atoms split past _EVAL_BLOCK."""
-    n_blk = max(1, min(n, _EVAL_BLOCK))
-    return n_blk, _EVAL_BLOCK // n_blk
-
-
 def _atom_chunks(atoms: np.ndarray, n_blk: int):
     """Yields (cols, z) per chunk of n_blk atoms of atoms (n, d): cols
     slices the atoms, and z is the chunk's coordinates, (d, 1, chunk),
@@ -69,23 +62,12 @@ def _pair_block(pts, rows, z, buf):
     return diff, dist
 
 
-def _pair_blocks(pts: np.ndarray, atoms: np.ndarray):
-    """Yields (rows, cols, diff, dist) per block of _pair_block, each row
-    block of pts against each chunk of atoms, for the callers that do more
-    than add a block's sum into rows: single points, and the CLI's at_atom
-    column.  A call holds one pair buffer and one chunk copy."""
-    (m, d), n = pts.shape, atoms.shape[0]
-    n_blk, m_blk = _block_shape(n)
-    buf = np.empty((d + 1) * min(m, m_blk) * n_blk)
-    for cols, z in _atom_chunks(atoms, n_blk):
-        for lo in range(0, m, m_blk):
-            rows = slice(lo, lo + m_blk)
-            yield (rows, cols) + _pair_block(pts, rows, z, buf)
-
-
 def _pair_sums(pts, atoms, block_fn, out):
     """out[rows] += block_fn(diff, dist, cols) over every block of
-    _pair_block, and out.
+    _pair_block, and out: the one loop over row blocks x atom chunks, at
+    most _EVAL_BLOCK pairs a block.  Its callers: the many-point rank,
+    divergence and Poisson sums, the one-point second-order pass and
+    Weiszfeld step, and the CLI's count of pairs within 1e-12 (at_atom).
 
     Each row meets the chunks in index order, so the sums have the same
     bits as with the rows outside.  With 4 or more row blocks (fewer do not
@@ -97,7 +79,8 @@ def _pair_sums(pts, atoms, block_fn, out):
     arithmetic and raw ufuncs only.
     """
     (m, d), n = pts.shape, atoms.shape[0]
-    n_blk, m_blk = _block_shape(n)
+    n_blk = max(1, min(n, _EVAL_BLOCK))
+    m_blk = _EVAL_BLOCK // n_blk
     starts = range(0, m, m_blk)
     step = 2 if len(starts) >= 4 and _threads.parallel() else 1
     # the helper allocates its own buffer, in its own malloc arena: two
@@ -343,16 +326,21 @@ class RankEvaluator:
             return self.rank_many(np.asarray(x, dtype=float)[None, :])[0]
         x = _finite_points(x)
         atoms, weights = self.atoms()
-        d = self.d
-        phi, rank, jac = 0.0, np.zeros((1, d)), np.zeros((d, d))
-        for rows, cols, diff, dist in _pair_blocks(x[None, :], atoms):
+        norms, d = self.atom_norms, self.d
+        # phi, the chunks with a pair within _ATOM_TOL, R, J row by row
+        row = np.empty(2 + d + d * d)
+
+        def block(diff, dist, cols):
             w = weights[cols]
-            phi += float((dist[0] - self.atom_norms[cols]) @ w)
-            if jac is not None:
-                jac = (None if dist.min() < _ATOM_TOL
-                       else jac + _jacobian_block(diff, dist, w))
-            rank[rows] += _rank_block(diff, dist, w)
-        return phi, rank[0], jac
+            row[0] = (dist[0] - norms[cols]) @ w
+            row[1] = near = dist.min() < _ATOM_TOL
+            row[2 + d:] = (0.0 if near else
+                           _jacobian_block(diff, dist, w).ravel())
+            row[2:2 + d] = _rank_block(diff, dist, w)   # overwrites dist
+            return row
+        out = _pair_sums(x[None, :], atoms, block, np.zeros((1, row.size)))[0]
+        jac = None if out[1] else out[2 + d:].reshape(d, d)
+        return float(out[0]), out[2:2 + d], jac
 
     def rank_many(self, pts: np.ndarray) -> np.ndarray:
         pts = _finite_points(pts)

@@ -739,6 +739,36 @@ def test_content_radius_zero_is_the_empty_ball(capsys):
     assert json.loads(capsys.readouterr().out)["content"] == 0.0
 
 
+# content flags outside their domain that ran into the library and ended as
+# numeric failures (exit 3): an unknown --path, the analytic path (the
+# default) on atoms, and a cloud in a dimension with no surface integrand
+_CONTENT_REFUSALS = [
+    ("--family gaussian --dim 3 --path foo", None, "--path"),
+    ("", 3, "--path"),
+    ("--path grid", 5, "d = 1 or 3"),
+]
+
+
+@pytest.mark.parametrize("argv, cloud_d, named", _CONTENT_REFUSALS,
+                         ids=["unknown-path", "analytic-on-atoms", "d5"])
+def test_content_configuration_refusals_exit_2(tmp_path, capsys, argv,
+                                               cloud_d, named):
+    extra = []
+    if cloud_d is not None:
+        atoms = tmp_path / "atoms.csv"
+        rng = np.random.default_rng(cloud_d)
+        np.savetxt(atoms, rng.standard_normal((40, cloud_d)), delimiter=",",
+                   fmt="%.17g")
+        extra = ["--csv", str(atoms)]
+    out = tmp_path / "content.json"
+    code = run(["content", "--radius", "1", "-o", str(out)] + argv.split()
+               + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and named in err
+    assert not out.exists()
+
+
 def test_config_string_value_acts_as_the_flag(tmp_path):
     # a --config string parses with its flag's type, as on the command line
     cfg = tmp_path / "conf.json"

@@ -20,7 +20,7 @@ import georank as gr
 from georank import _threads, cli, rankfield
 from georank.errors import SingularityError
 from georank.reconstruct import _poisson_constant
-from georank.rankfield import _pair_blocks, _rank_block
+from georank.rankfield import _pair_sums, _rank_block
 
 
 def _direct(atoms, weights, x, t):
@@ -84,11 +84,16 @@ def test_rank_block_reciprocal_with_and_without_a_coincident_pair():
     m, pts = _cloud(7, 50, 20, 3)
     pts[3] = m.atoms[11]
     for p in (pts, np.delete(pts, 3, axis=0)):
-        for _, cols, diff, dist in _pair_blocks(p, m.atoms):
+        same = []
+
+        def block(diff, dist, cols):
             inv = np.divide(1.0, dist, out=dist.copy(), where=dist > 0.0)
             want = ((diff * inv) @ m.weights[cols]).T
             got = _rank_block(diff, dist, m.weights[cols])
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            same.append(got.tobytes() == np.ascontiguousarray(want).tobytes())
+            return got
+        _pair_sums(p, m.atoms, block, np.zeros_like(p))
+        assert same and all(same)
 
 
 def test_cli_at_atom_column_across_blocks(tmp_path, monkeypatch):
@@ -108,16 +113,50 @@ def test_cli_at_atom_column_across_blocks(tmp_path, monkeypatch):
     np.testing.assert_allclose(data[:, 2:4], ref, rtol=0, atol=1e-14)
 
 
+def test_cli_at_atom_column_on_the_helper(tmp_path, monkeypatch):
+    # 25 grid nodes against one chunk of 8 atoms, two rows a block: 13 row
+    # blocks, so the helper counts the odd ones
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 16)
+    atoms = _cloud(9, 8, 0, 2)[0].atoms.copy()
+    nodes = rankfield._grid_nodes([np.linspace(-1.0, 1.0, 5)] * 2)
+    atoms[[1, 4, 6]] = nodes[[3, 12, 24]]
+    atoms_csv = tmp_path / "atoms.csv"
+    np.savetxt(atoms_csv, atoms, delimiter=",", fmt="%.17g")
+
+    def write(cpus, name):
+        monkeypatch.setattr(_threads, "_CPUS", cpus)
+        out = tmp_path / name
+        assert cli.main(["rank", "--csv", str(atoms_csv), "--dim", "2",
+                         "--grid=-1:1:5", "-o", str(out)]) == 0
+        return out.read_bytes(), cli.load_table(out)[1][:, -1]
+    serial, _ = write(1, "serial.csv")
+    calls = _count_handoffs(monkeypatch)
+    split, col = write(2, "split.csv")
+    # one handoff for the rank sums, one for the at_atom count
+    assert len(calls) == 2
+    direct = [np.min(np.linalg.norm(atoms - x, axis=1)) < 1e-12
+              for x in nodes]
+    assert col.tolist() == np.array(direct, dtype=int).tolist()
+    assert col.sum() == 3
+    assert split == serial
+
+
+def _block_count(pts, atoms):
+    """The blocks of _pair_sums over pts and atoms, one count per call."""
+    return int(_pair_sums(pts, atoms, lambda diff, dist, cols: 1,
+                          np.zeros(1, dtype=int))[0])
+
+
 def test_atoms_beyond_one_block_are_split(monkeypatch):
     n = rankfield._EVAL_BLOCK + 7000
     m, pts = _cloud(7, n, 1, 2)
     x = pts[0]
-    assert len(list(_pair_blocks(pts, m.atoms))) == 2
+    assert _block_count(pts, m.atoms) == 2
     ev = gr.RankEvaluator(m)
     split = (ev.rank(x), ev.divergence(x), ev.jacobian(x),
              gr.poisson_smooth(m, pts, 0.1)[0])
     monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 2 * n)
-    assert len(list(_pair_blocks(pts, m.atoms))) == 1
+    assert _block_count(pts, m.atoms) == 1
     whole = (ev.rank(x), ev.divergence(x), ev.jacobian(x),
              gr.poisson_smooth(m, pts, 0.1)[0])
     for a, b in zip(split, whole):
@@ -283,10 +322,13 @@ def test_chunk_outer_loop_has_the_bits_of_the_point_outer_loop(
     assert _bytes(ev.rank_many(pts)) == _bytes(rank)
     assert _bytes(ev.divergence_many(pts)) == _bytes(div)
     assert _bytes(gr.poisson_smooth(cloud, pts, 0.1)) == _bytes(pois)
-    # every (row, atom) pair exactly once
-    seen = np.zeros((m, n), dtype=int)
-    for rows, cols, _, _ in _pair_blocks(pts, cloud.atoms):
-        seen[rows, cols] += 1
+    # every (row, atom) pair exactly once: a one-hot count per block
+    def one_hot(_, dist, cols):
+        hit = np.zeros((dist.shape[0], n), dtype=int)
+        hit[:, cols] = 1
+        assert hit.sum() == dist.size
+        return hit
+    seen = _pair_sums(pts, cloud.atoms, one_hot, np.zeros((m, n), dtype=int))
     assert (seen == 1).all()
 
 

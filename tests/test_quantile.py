@@ -178,10 +178,44 @@ def test_objective_with_cached_norms_equals_per_call_norms(monkeypatch, d):
     q = gr.QuantileQuery(0.3, _unit(rng.standard_normal(d)))
     for x in rng.standard_normal((10, d)):
         # |z| recomputed per block, as before the per-evaluator cache
-        g = sum(float((dist[0] - np.linalg.norm(a[cols], axis=1)) @ w[cols])
-                for _, cols, _, dist in rankfield._pair_blocks(x[None, :], a))
+        g = rankfield._pair_sums(
+            x[None, :], a, lambda _, dist, cols: float(
+                (dist[0] - np.linalg.norm(a[cols], axis=1)) @ w[cols]),
+            np.zeros(1))[0]
         assert gr.objective(ev, q, x) == g - q.alpha * float(np.dot(q.u, x))
     assert ev.atom_norms is ev.atom_norms
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weiszfeld_step_sums_chunk_by_chunk(monkeypatch, d):
+    # chunks of 7 atoms, the last ragged, and x on atom 9, whose term is
+    # left out of both sums
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 7)
+    rng = np.random.default_rng(40 + d)
+    atoms = rng.standard_normal((31, d))
+    w = rng.uniform(0.5, 2.0, 31)
+    w /= w.sum()
+    alpha_u = 0.4 * _unit(rng.standard_normal(d))
+    x = atoms[9].copy()
+    got = quantile._weiszfeld_step(atoms, w, alpha_u, x)
+    # the numerator and denominator summed chunk by chunk, in chunk order
+    num, den = alpha_u.copy(), 0.0
+    for lo in range(0, 31, 7):
+        z = atoms[lo:lo + 7]
+        gap = x[:, None] - z.T
+        dist = np.sqrt(np.einsum("kn,kn->n", gap, gap))
+        c = np.divide(w[lo:lo + 7], dist, out=np.zeros(len(z)),
+                      where=dist > 1e-14)
+        num += c @ z
+        den += c.sum()
+    assert got.tobytes() == (num / den).tobytes()
+    # the direct formula
+    r = np.linalg.norm(atoms - x, axis=1)
+    keep = r > 1e-14
+    assert keep.sum() == 30
+    c = w[keep] / r[keep]
+    np.testing.assert_allclose(got, (alpha_u + c @ atoms[keep]) / c.sum(),
+                               rtol=1e-13)
 
 
 # five atoms whose coordinatewise median is the atom at the origin
