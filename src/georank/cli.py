@@ -354,6 +354,9 @@ def cmd_content(args):
         raise ConfigError(f"bad --path {args.path!r}; want analytic or grid")
     if ev.d not in (1, 3):
         raise ConfigError(f"content is implemented for d = 1 or 3, got {ev.d}")
+    if ev.d == 1 and args.path == "grid":
+        raise ConfigError("--path grid does not apply in d = 1, where the "
+                          "analytic path is exact")
     if ev.d == 3 and args.path == "analytic" and ev.profile is None:
         raise ConfigError("--path analytic needs a closed form; use grid")
     value = probability_content_surface(ev, args.radius, path=args.path)

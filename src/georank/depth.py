@@ -147,10 +147,10 @@ def contour(ev: RankEvaluator, beta: float, n_rays: int = 64,
     if beta == 0.0:
         if ev.profile is not None:
             return DepthContour(beta, "radial", r_beta=0.0)
-        dirs = _ray_directions(ev.d, n_rays)
-        zero = np.zeros(n_rays)
-        return DepthContour(beta, "rayfan", directions=dirs, radii=zero,
-                            achieved=zero.copy())
+        # every ray ends at the origin; |R| there is 0 only at the median
+        at_0 = np.linalg.norm(ev.rank_many(np.zeros((n_rays, ev.d))), axis=1)
+        return DepthContour(beta, "rayfan", directions=_ray_directions(
+            ev.d, n_rays), radii=np.zeros(n_rays), achieved=at_0)
     if ev.profile is not None:
         return DepthContour(beta, "radial",
                             r_beta=float(invert_g(ev.profile, beta)))
@@ -265,11 +265,14 @@ def probability_content_surface(ev: RankEvaluator, radius: float,
     """P[B_R] as the flux integral gamma_d * int_{|x|=R} ((-Delta)^{(d-1)/2}
     R(x), x/R) dS.  Odd d only (the integrand needs integer Laplacians).
 
-    d=1 reduces to (R(R) - R(-R))/2.  For d=3 the analytic path uses the
-    radial identity (-Delta)(g(r) xhat) = -h'(r) xhat; the grid path applies
-    a centered second-difference Laplacian to the sampled rank at sphere
-    quadrature nodes.
+    d=1 reduces to the exact (R(R) - R(-R))/2, the analytic path, and has no
+    grid path.  For d=3 the analytic path uses the radial identity
+    (-Delta)(g(r) xhat) = -h'(r) xhat; the grid path applies a centered
+    second-difference Laplacian to the sampled rank at sphere quadrature
+    nodes.
     """
+    if path not in ("analytic", "grid"):
+        raise ValueError("path must be 'analytic' or 'grid'")
     d = ev.d
     if d % 2 == 0:
         raise ParityError("surface-integral content requires odd d "
@@ -278,6 +281,9 @@ def probability_content_surface(ev: RankEvaluator, radius: float,
     if not 0.0 <= R < np.inf:
         raise ValueError(f"radius must be finite and at least 0, got {R}")
     if d == 1:
+        if path == "grid":
+            raise ValueError("d = 1 has no grid path: the analytic "
+                             "(R(R) - R(-R))/2 is exact")
         lo = ev.rank(np.array([-R]))[0]
         hi = ev.rank(np.array([R]))[0]
         return float(0.5 * (hi - lo))
@@ -288,8 +294,6 @@ def probability_content_surface(ev: RankEvaluator, radius: float,
         if ev.profile is None:
             raise ValueError("analytic path requires a radial closed form")
         return float(gd * 4.0 * np.pi * R * R * (-ev.profile.h_prime(R)))
-    if path != "grid":
-        raise ValueError("path must be 'analytic' or 'grid'")
     omega, w_ang = sphere_rule(3, n_polar, n_azimuth)
     neg_lap = _neg_laplacian(ev.rank_many, R * omega, fd_step)
     flux = np.einsum("nk,nk->n", neg_lap, omega)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateSupportError, NonConvergenceError
 from .measures import invert_g
-from .rankfield import _EVAL_BLOCK, RankEvaluator, _pair_sums
+from .rankfield import RankEvaluator, _pair_sums
 
 _MAX_ITERS = 200
 _ARMIJO = 1e-4
@@ -81,20 +81,26 @@ def _atom_minimizer(ev: RankEvaluator, alpha_u, x):
     when |R(z) - alpha u| <= w_z, and then no point solves R(x) = alpha u.
     """
     atoms, weights = ev.atoms()
-    blocks = [slice(lo, lo + _EVAL_BLOCK)
-              for lo in range(0, len(atoms), _EVAL_BLOCK)]
-    # the first nearest atom, and the weights of its copies in index order:
-    # the argmin and the one sum over the whole cloud, a block at a time
-    j, best = 0, np.inf
-    for b in blocks:
-        gap = atoms[b] - x
-        dd = np.einsum("ij,ij->i", gap, gap)
+    # two passes of the engine, a chunk of atoms at a time: the first
+    # nearest atom by the squared distances behind |x - z|, then the weights
+    # of its exact copies in index order, summed once over the whole cloud
+    best = [np.inf, 0]
+
+    def nearest(diff, dist, cols):
+        dd = np.einsum("kmn,kmn->mn", diff, diff, out=dist)[0]
         k = int(np.argmin(dd))
-        if dd[k] < best:
-            j, best = b.start + k, dd[k]
-    z = atoms[j].copy()
-    w_z = float(np.concatenate([weights[b][np.all(atoms[b] == z, axis=1)]
-                                for b in blocks]).sum())
+        if dd[k] < best[0]:
+            best[:] = dd[k], cols.start + k
+        return 0.0
+    _pair_sums(x[None, :], atoms, nearest, np.zeros(1))
+    z = atoms[best[1]].copy()
+    copies = []
+
+    def same(diff, _, cols):
+        copies.append(weights[cols][np.all(diff[:, 0] == 0.0, axis=0)])
+        return 0.0
+    _pair_sums(z[None, :], atoms, same, np.zeros(1))
+    w_z = float(np.concatenate(copies).sum())
     return z if np.linalg.norm(ev.rank(z) - alpha_u) <= w_z else None
 
 

@@ -66,8 +66,8 @@ def _pair_sums(pts, atoms, block_fn, out):
     """out[rows] += block_fn(diff, dist, cols) over every block of
     _pair_block, and out: the one loop over row blocks x atom chunks, at
     most _EVAL_BLOCK pairs a block.  Its callers: the many-point rank,
-    divergence and Poisson sums, the one-point second-order pass and
-    Weiszfeld step, and the CLI's count of pairs within 1e-12 (at_atom).
+    divergence and Poisson sums, the one-point second-order pass, Weiszfeld
+    step and nearest-atom search, and the CLI's pairs within 1e-12 (at_atom).
 
     Each row meets the chunks in index order, so the sums have the same
     bits as with the rows outside.  With 4 or more row blocks (fewer do not

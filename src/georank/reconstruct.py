@@ -28,11 +28,11 @@ Monte-Carlo sample, has no density: ``singular`` and ``odd-local`` refuse
 it with ConfigError, and in odd d ``verify_identity_on_test_function``
 checks the identity for it weakly.
 
-A ReconstructionReport writes the same answer as CSV (``csv_text``) and as
-JSON (``to_json_dict``): f_hat with a curve's radii, the points' f_hat, or a
-grid's f_hat with the origin, spacing and shape left after the
-finite-difference crop.  ``load_curve_csv`` reads a curve back through the
-one table parser.
+Every route but the odd-local grid takes its points from one resolver,
+``_targets`` (cfg.points, else cfg.radii or the route's default radii), and
+its report from one builder, ``_report``, with the closed form's density as
+reference.  A report writes the same answer as CSV (``csv_text``) and JSON
+(``to_json_dict``); ``load_curve_csv`` reads a curve back.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
@@ -191,10 +191,45 @@ def _errors(f_hat, f_ref, prof):
                              / float(np.linalg.norm(f_ref)))}
 
 
-def _curve_negativity_mass(radii, f_hat, d):
-    neg = np.maximum(0.0, -np.asarray(f_hat))
-    w = _sphere_area(d) * np.asarray(radii) ** (d - 1)
-    return float(np.trapezoid(neg * w, radii)) if len(radii) > 1 else 0.0
+def _targets(ev, cfg, route, default_radii, points=True):
+    """(pts, radii): the rows of cfg.points with radii None, else the points
+    (r, 0, ..., 0) at cfg.radii or at the route's default_radii.  A route
+    that writes only curves (points=False) refuses cfg.points."""
+    if cfg.points is not None:
+        if not points:
+            raise ConfigError(f"the {route} route writes a radial curve at "
+                              "--radii (cfg.radii) and takes no --points")
+        return np.atleast_2d(np.asarray(cfg.points, dtype=float)), None
+    radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
+             else default_radii)
+    pts = np.zeros((len(radii), ev.d))
+    pts[:, 0] = radii
+    return pts, radii
+
+
+def _report(method, ev, cfg, targets, f_hat, diag):
+    """The report of f_hat at targets = (pts, radii): a curve where radii is
+    set, else the points, with the closed form's density at the radii or at
+    |x| as f_reference where ev has one."""
+    pts, radii = targets
+    f_ref = (None if ev.profile is None else
+             ev.profile.f(radii if radii is not None else _row_norms(pts)))
+    return ReconstructionReport(
+        method, cfg.echo(), "points" if radii is None else "radial_curve",
+        f_hat, radii=radii, points=pts if radii is None else None,
+        f_reference=f_ref, diagnostics=diag)
+
+
+def _with_errors(rep, ev):
+    """rep with its sup and l2 errors added to its diagnostics, and for a
+    curve the negativity mass, the integral of max(0, -f_hat)."""
+    rep.diagnostics.update(_errors(rep.f_hat, rep.f_reference, ev.profile))
+    if rep.kind == "radial_curve":
+        r, d = rep.radii, ev.d
+        neg = np.maximum(0.0, -rep.f_hat) * (_sphere_area(d) * r ** (d - 1))
+        rep.diagnostics["negativity_mass"] = (
+            float(np.trapezoid(neg, r)) if len(r) > 1 else 0.0)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +245,8 @@ def _refuse_atoms(ev, route, instead):
                           f"GenericDensity); use {instead}")
 
 
-def _refuse_points(cfg, route):
-    if cfg.points is not None:
-        raise ConfigError(f"the {route} route writes a radial curve at "
-                          "--radii (cfg.radii) and takes no --points")
-
-
-def _odd_local_radial_curve(prof, radii):
+def _odd_local_radial_curve(prof, r):
     gd = sf.gamma_d(3)
-    r = np.asarray(radii, dtype=float)
     hp = prof.h_prime(r)
     hpp = prof.h_second(r)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -255,22 +283,18 @@ def reconstruct_odd_local(ev: RankEvaluator, cfg: ReconstructionConfig
     _refuse_atoms(ev, "odd-local", "poisson_smooth (on atoms a Poisson"
                   " KDE with an explicit bandwidth), or the weak form in "
                   "verify_identity_on_test_function")
-    _refuse_points(cfg, "odd-local")
+    targets = _targets(ev, cfg, "odd-local", np.linspace(0.05, 5.0, 100),
+                       points=False)
     prof = ev.profile
     if d == 3 and not cfg.force_grid:
-        radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
-                 else np.linspace(0.05, 5.0, 100))
-        f_hat = _odd_local_radial_curve(prof, radii)
-        f_ref = prof.f(radii)
-        diag = {**_errors(f_hat, f_ref, prof), "negativity_mass":
-                _curve_negativity_mass(radii, f_hat, d)}
-        return ReconstructionReport("odd-local", cfg.echo(), "radial_curve",
-                                    f_hat, radii=radii, f_reference=f_ref,
-                                    diagnostics=diag)
+        f_hat = _odd_local_radial_curve(prof, targets[1])
+        return _with_errors(_report("odd-local", ev, cfg, targets, f_hat, {}),
+                            ev)
 
     field = sample_grid(ev, cfg.grid_box, cfg.grid_nodes)
     fine = _grid_reconstruct_odd(field, cfg.fd_order)
-    ref = prof.f(_row_norms(fine.nodes())).reshape(fine.shape)
+    grid_ref = lambda g: prof.f(_row_norms(g.nodes())).reshape(g.shape)
+    ref = grid_ref(fine)
     diag = {**_errors(fine.values, ref, prof), "negativity_mass": float(
         np.sum(np.maximum(0.0, -fine.values)) * fine.spacing ** d)}
     if cfg.coarse_check and cfg.grid_nodes >= 13:
@@ -279,8 +303,7 @@ def reconstruct_odd_local(ev: RankEvaluator, cfg: ReconstructionConfig
         coarse = _grid_reconstruct_odd(VectorGridField(
             field.origin, 2.0 * field.spacing, even.shape[:d], even),
             cfg.fd_order)
-        ref_c = prof.f(_row_norms(coarse.nodes())).reshape(coarse.shape)
-        ec = float(np.max(np.abs(coarse.values - ref_c)))
+        ec = float(np.max(np.abs(coarse.values - grid_ref(coarse))))
         ef = float(np.max(np.abs(fine.values - ref)))
         if ef > 0:
             diag["observed_order"] = float(np.log2(ec / ef))
@@ -374,18 +397,8 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
     _refuse_atoms(ev, "singular", "the extension method (on atoms a Poisson"
                   " KDE with the bandwidth extension_height, --height)")
     ufunc, tail = _scalar_u_and_tail(ev, cfg)
-    prof = ev.profile
-    if cfg.points is not None:
-        pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
-        radii = None
-        f_ref = prof.f(_row_norms(pts))
-    else:
-        radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
-                 else np.linspace(0.0, 2.0, 20))
-        pts = np.zeros((len(radii), d))
-        pts[:, 0] = radii
-        f_ref = prof.f(radii)
-
+    targets = _targets(ev, cfg, "singular", np.linspace(0.0, 2.0, 20))
+    pts = targets[0]
     f_hat = half_laplacian_singular(ufunc, d, pts, cfg, tail)
     diag = {}
     if cfg.check_refinement:
@@ -398,16 +411,8 @@ def reconstruct_even_singular(ev: RankEvaluator, cfg: ReconstructionConfig
             raise ToleranceError(
                 f"refining (eta, r_max) moved the answer by {delta:.3e}, "
                 f"beyond the {cfg.tolerance:.3e} tolerance")
-
-    diag.update(_errors(f_hat, f_ref, prof))
-    if radii is None:
-        return ReconstructionReport("singular", cfg.echo(), "points", f_hat,
-                                    points=pts, f_reference=f_ref,
-                                    diagnostics=diag)
-    diag["negativity_mass"] = _curve_negativity_mass(radii, f_hat, d)
-    return ReconstructionReport("singular", cfg.echo(), "radial_curve",
-                                f_hat, radii=radii, f_reference=f_ref,
-                                diagnostics=diag)
+    return _with_errors(_report("singular", ev, cfg, targets, f_hat, diag),
+                        ev)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +483,9 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
     non-negligible share of the integrand, i.e. V decays too slowly.
     """
     _require_isotropic_d2(ev)
-    _refuse_points(cfg, "Hankel")
-    radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
-             else np.linspace(0.2, 2.0, 10))
+    targets = _targets(ev, cfg, "Hankel", np.linspace(0.2, 2.0, 10),
+                       points=False)
+    radii = targets[1]
     t, w = gl_segments(np.linspace(0.0, _HANKEL_T, _HANKEL_SEGMENTS + 1),
                        _HANKEL_GL)
     wtv = w * t * divergence_fourier_profile(ev, t)
@@ -498,12 +503,7 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
     for lo in range(0, len(radii), step):
         f_hat[lo:lo + step] = const * (
             j0(2.0 * np.pi * np.outer(radii[lo:lo + step], t)) @ wtv)
-    f_ref = ev.profile.f(radii)
-    diag = {**_errors(f_hat, f_ref, ev.profile), "negativity_mass":
-            _curve_negativity_mass(radii, f_hat, 2)}
-    return ReconstructionReport("hankel", cfg.echo(), "radial_curve", f_hat,
-                                radii=radii, f_reference=f_ref,
-                                diagnostics=diag)
+    return _with_errors(_report("hankel", ev, cfg, targets, f_hat, {}), ev)
 
 
 # ---------------------------------------------------------------------------
@@ -576,35 +576,21 @@ def reconstruct_extension(ev_or_measure, cfg: ReconstructionConfig
     """
     ev = (ev_or_measure if isinstance(ev_or_measure, RankEvaluator)
           else RankEvaluator(ev_or_measure))
-    d = ev.d
-    if d % 2 == 1:
+    if ev.d % 2 == 1:
         raise ParityError("the extension route embeds an even-d measure, "
-                          f"got d={d}")
-    if cfg.points is not None:
-        pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
-        radii = None
-    else:
-        radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
-                 else np.zeros(1))
-        pts = np.zeros((len(radii), d))
-        pts[:, 0] = radii
-
+                          f"got d={ev.d}")
+    targets = _targets(ev, cfg, "extension", np.zeros(1))
     t = cfg.extension_height
-    f_t = poisson_smooth(ev.measure, pts, t)
-    f_t2 = poisson_smooth(ev.measure, pts, t / 2.0)
-    f_hat = 2.0 * f_t2 - f_t
-    diag = {"height": t, "f_at_height": f_t, "f_at_half_height": f_t2}
-    f_ref = None
-    if ev.profile is not None:
-        rr = radii if radii is not None else _row_norms(pts)
-        f_ref = ev.profile.f(rr)
-        diag["error_at_height"] = np.abs(f_t - f_ref)
-        diag["error_at_half_height"] = np.abs(f_t2 - f_ref)
-        diag["richardson_error"] = np.abs(f_hat - f_ref)
-    kind = "radial_curve" if radii is not None else "points"
-    return ReconstructionReport("extension", cfg.echo(), kind, f_hat,
-                                radii=radii, points=None if radii is not None else pts,
-                                f_reference=f_ref, diagnostics=diag)
+    f_t = poisson_smooth(ev.measure, targets[0], t)
+    f_t2 = poisson_smooth(ev.measure, targets[0], t / 2.0)
+    rep = _report("extension", ev, cfg, targets, 2.0 * f_t2 - f_t,
+                  {"height": t, "f_at_height": f_t, "f_at_half_height": f_t2})
+    if rep.f_reference is not None:
+        rep.diagnostics.update(
+            error_at_height=np.abs(f_t - rep.f_reference),
+            error_at_half_height=np.abs(f_t2 - rep.f_reference),
+            richardson_error=rep.abs_error)
+    return rep
 
 
 def reconstruct_density(ev: RankEvaluator, cfg: ReconstructionConfig

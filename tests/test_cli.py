@@ -177,6 +177,30 @@ def test_unknown_format_flag_or_config_exits_2(tmp_path, capsys, cmd):
         assert not out.exists()
 
 
+def test_content_grid_path_in_d1_exits_2(tmp_path, capsys):
+    # d = 1 has only the exact path; grid wrote it with "path": "grid"
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("-1.0\n0.2\n1.0\n")
+    argv = ["content", "--csv", str(atoms), "--radius", "0.5"]
+    assert run(argv + ["--path", "grid"]) == 2
+    assert "--path grid" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["path"] == "analytic"
+
+
+def test_contour_beta_zero_writes_rank_norm_at_the_origin(tmp_path, capsys):
+    # the rays of a cloud off the origin wrote rank_norm 0
+    atoms = tmp_path / "atoms.csv"
+    np.savetxt(atoms, np.random.default_rng(0).standard_normal((300, 2))
+               + 3.0, delimiter=",")
+    ev = gr.RankEvaluator(gr.empirical_from_csv(str(atoms)))
+    want = np.linalg.norm(ev.rank(np.zeros(2)))
+    assert run(["contour", "--csv", str(atoms), "--beta", "0", "--rays",
+                "4", "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["rank_norm"]
+    np.testing.assert_allclose(got, [want] * 4, rtol=1e-14)
+
+
 def test_content_even_dim_rejected(capsys):
     code = run(["content", "--family", "gaussian", "--dim", "2",
                 "--radius", "1"])

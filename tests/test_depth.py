@@ -15,6 +15,18 @@ def test_contour_beta_zero_degenerates():
     assert c.kind == "radial" and c.r_beta == 0.0
 
 
+def test_contour_beta_zero_on_atoms_reports_rank_at_the_origin():
+    # every ray sits at the origin; off the median |R| there is not 0
+    atoms = np.random.default_rng(0).standard_normal((300, 2)) + 3.0
+    ev = gr.RankEvaluator(gr.Empirical(atoms))
+    c = gr.contour(ev, 0.0, n_rays=8)
+    want = np.linalg.norm(ev.rank(np.zeros(2)))
+    assert want > 0.9
+    assert np.array_equal(c.radii, np.zeros(8))
+    np.testing.assert_allclose(c.achieved, want, rtol=1e-14)
+    assert c.csv_text().splitlines()[1].split(",")[-1] != "0"
+
+
 def test_contour_cauchy_d2_unit_radius():
     ev = gr.RankEvaluator(gr.RadialClosedForm("cauchy", 2))
     beta = 1.0 / (1.0 + np.sqrt(2.0))
@@ -120,6 +132,29 @@ def test_content_d1_is_cdf_difference():
     ev = gr.RankEvaluator(gr.Empirical(np.array([[-1.0], [1.0]])))
     assert gr.probability_content_surface(ev, 2.0) == pytest.approx(1.0)
     assert gr.probability_content_surface(ev, 0.5) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_content_checks_its_path_in_every_dimension(d):
+    # in d = 1 "foo" and "grid" returned the analytic value
+    ev = gr.RankEvaluator(gr.Empirical(
+        np.random.default_rng(1).standard_normal((20, d))))
+    with pytest.raises(ValueError, match="path must be"):
+        gr.probability_content_surface(ev, 0.7, path="foo")
+    with pytest.raises(ParityError):
+        gr.probability_content_surface(
+            gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2)), 0.7,
+            path="analytic")
+
+
+def test_content_d1_has_only_the_exact_path():
+    ev = gr.RankEvaluator(gr.Empirical(np.array([[-1.0], [0.2], [1.0]])))
+    with pytest.raises(ValueError, match="no grid path"):
+        gr.probability_content_surface(ev, 0.5, path="grid")
+    r = ev.rank_many(np.array([[-0.5], [0.5]]))[:, 0]
+    assert (gr.probability_content_surface(ev, 0.5, path="analytic")
+            == gr.probability_content_surface(ev, 0.5)
+            == float(0.5 * (r[1] - r[0])))
 
 
 def test_radial_content_oracle_matches_chi():

@@ -350,9 +350,9 @@ def _one_pass_atom_minimizer(ev, alpha_u, x):
 
 
 def test_atom_minimizer_in_blocks_equals_one_pass(monkeypatch):
-    # blocks of 7 atoms; atom 3 has copies in the third and sixth blocks,
+    # chunks of 7 atoms; atom 3 has copies in the third and sixth chunks,
     # and together they outweigh the rest, so the spatial median sits on it
-    monkeypatch.setattr(quantile, "_EVAL_BLOCK", 7)
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 7)
     rng = np.random.default_rng(12)
     atoms = rng.standard_normal((50, 2))
     atoms[[17, 40]] = atoms[3]
@@ -372,6 +372,55 @@ def test_atom_minimizer_in_blocks_equals_one_pass(monkeypatch):
                 found += 1
                 assert got.tobytes() == want.tobytes()
     assert found > 0
+
+
+@pytest.mark.parametrize("d, seed", [(2, 43), (2, 48), (3, 41), (5, 46)])
+def test_atom_minimizer_sums_copies_spread_over_chunks_as_one_pass(
+        d, seed, monkeypatch):
+    # 9 copies of one atom in 6 of the 9 chunks of 5 atoms; their weights
+    # summed chunk by chunk round apart from the one pass over the cloud,
+    # below it on the first and last seed, above it on the other two
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 5)
+    rng = np.random.default_rng(seed)
+    atoms = rng.standard_normal((45, d))
+    copies = [2, 4, 11, 12, 23, 26, 30, 38, 44]
+    atoms[copies] = atoms[26]
+    w = rng.uniform(0.5, 1.5, 45)
+    w[copies] = rng.uniform(0.1, 0.3, len(copies))
+    ev = gr.RankEvaluator(gr.Empirical(atoms, w / w.sum()))
+    z, weights = atoms[26], ev.atoms()[1]
+    one_pass = weights[np.all(atoms == z, axis=1)].sum()
+    by_chunk = sum(weights[lo:lo + 5][np.all(atoms[lo:lo + 5] == z, axis=1)]
+                   .sum() for lo in range(0, 45, 5))
+    assert one_pass != by_chunk
+    e = np.eye(d)[0]
+    for x in (z + 1e-4, z.copy(), atoms[7] + 1e-4, np.full(d, 0.1)):
+        for alpha_u in (np.zeros(d), 0.2 * e, -0.9 * e):
+            got = quantile._atom_minimizer(ev, alpha_u, x)
+            want = _one_pass_atom_minimizer(ev, alpha_u, x)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+    # with |R(z) - alpha u| at the larger sum, bit for bit, the subgradient
+    # test passes with one of the two sums only
+    target = max(one_pass, by_chunk)
+    monkeypatch.setattr(ev, "rank", lambda _: target * e)
+    got = quantile._atom_minimizer(ev, np.zeros(d), z + 1e-4)
+    want = _one_pass_atom_minimizer(ev, np.zeros(d), z + 1e-4)
+    assert (got is not None) == (want is not None) == (one_pass >= by_chunk)
+
+
+def test_atom_minimizer_takes_the_first_of_equidistant_atoms(monkeypatch):
+    # atoms 1 and 4, in the first and second chunk of 3, are both at
+    # distance 2 from x; the first one in index order is the nearest
+    monkeypatch.setattr(rankfield, "_EVAL_BLOCK", 3)
+    atoms = np.array([[3.0, 3.0], [0.0, 2.0], [4.0, 4.0], [5.0, 5.0],
+                      [2.0, 0.0], [0.0, -3.0]])
+    ev = gr.RankEvaluator(gr.Empirical(
+        atoms, np.array([0.025, 0.45, 0.025, 0.025, 0.45, 0.025])))
+    alpha_u = ev.rank(atoms[1])
+    got = quantile._atom_minimizer(ev, alpha_u, np.zeros(2))
+    assert got is not None and got.tobytes() == atoms[1].tobytes()
 
 
 def test_atom_minimizer_allocates_nothing_in_proportion_to_the_cloud():

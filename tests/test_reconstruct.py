@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 import georank as gr
-from georank import _quadrature, reconstruct
+from georank import _quadrature, _write, reconstruct
 from georank._quadrature import bessel_j0_integral, sphere_rule
 from georank.errors import (ConfigError, DecayError, ParityError,
                             ToleranceError)
@@ -711,6 +711,56 @@ def test_report_serialization_roundtrip(tmp_path):
         meta = json.load(fh)
     assert meta["method"] == "odd-local"
     assert "sup_rel_error" in meta["diagnostics"]
+
+
+_ERRORS = ["sup_rel_error", "l2_rel_error"]
+_HEIGHTS = ["height", "f_at_height", "f_at_half_height"]
+_HEIGHT_ERRORS = ["error_at_height", "error_at_half_height",
+                  "richardson_error"]
+_CURVE = "r,f_hat"
+_REF = ",f_reference,abs_error"
+_CLOUD = np.random.default_rng(25).standard_normal((40, 2))
+
+
+@pytest.mark.parametrize("route, measure, cfg, kind, header, keys", [
+    ("odd-local", ("gaussian", 3), dict(radii=np.linspace(0.1, 2.0, 5)),
+     "radial_curve", _CURVE + _REF, _ERRORS + ["negativity_mass"]),
+    ("odd-local", ("gaussian", 3), dict(force_grid=True, grid_nodes=15),
+     "grid", "x1,x2,x3,f_hat",
+     _ERRORS + ["negativity_mass", "observed_order", "refinement_delta"]),
+    ("singular", ("cauchy", 2), dict(radii=np.array([0.0, 0.7, 1.5])),
+     "radial_curve", _CURVE + _REF,
+     ["refinement_delta"] + _ERRORS + ["negativity_mass"]),
+    ("singular", ("gaussian", 2), dict(points=np.array([[0.3, -0.4],
+                                                        [1.0, 0.5]])),
+     "points", "x1,x2,f_hat" + _REF, ["refinement_delta"] + _ERRORS),
+    ("hankel", ("gaussian", 2), dict(radii=np.array([0.2, 1.0, 2.0])),
+     "radial_curve", _CURVE + _REF, _ERRORS + ["negativity_mass"]),
+    ("extension", ("gaussian", 2), dict(radii=np.array([0.0, 0.5])),
+     "radial_curve", _CURVE + _REF, _HEIGHTS + _HEIGHT_ERRORS),
+    ("extension", ("cauchy", 2), dict(points=np.array([[0.3, -0.4]])),
+     "points", "x1,x2,f_hat" + _REF, _HEIGHTS + _HEIGHT_ERRORS),
+    ("extension", None, {}, "radial_curve", _CURVE, _HEIGHTS),
+    ("extension", None, dict(points=np.array([[0.3, -0.4], [1.0, 0.5]])),
+     "points", "x1,x2,f_hat", _HEIGHTS),
+])
+def test_every_route_and_target_kind_writes_its_report_through_the_dispatcher(
+        route, measure, cfg, kind, header, keys):
+    # a family's reports carry f_reference; a cloud's carry none
+    ev = gr.RankEvaluator(gr.RadialClosedForm(*measure) if measure
+                          else gr.Empirical(_CLOUD))
+    cfg = CFG(method=route, **cfg)
+    fn = {"odd-local": gr.reconstruct_odd_local,
+          "singular": gr.reconstruct_even_singular,
+          "hankel": gr.reconstruct_isotropic_hankel,
+          "extension": gr.reconstruct_extension}[route]
+    direct, routed = fn(ev, cfg), gr.reconstruct_density(ev, cfg)
+    assert direct.kind == kind
+    assert direct.csv_text().split("\n")[0] == header
+    assert list(direct.to_json_dict()["diagnostics"]) == keys
+    assert routed.csv_text() == direct.csv_text()
+    assert (_write.json_text(routed.to_json_dict())
+            == _write.json_text(direct.to_json_dict()))
 
 
 def test_even_d4_code_path_matches_kernel_identity():
