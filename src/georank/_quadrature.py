@@ -1,6 +1,5 @@
-"""Internal quadrature helpers: Gauss-Legendre segments, sphere product rules,
-the blocked loop over rings of points around centres, and oscillatory
-integrals against the Bessel function J0.
+"""Internal quadrature helpers: Gauss-Legendre segments, sphere product rules
+and the blocked loop over rings of points around centres.
 
 Everything here is deterministic; rules are cached by their defining integers.
 """
@@ -9,9 +8,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j0 as _j0, jn_zeros as _jn_zeros
-
-from .errors import DecayError
 
 # pairs per kernel block (rankfield) and points per ring block: d + 1
 # arrays of a block fit in L2
@@ -122,76 +118,3 @@ def ring_blocks(centres, radii, omega):
             np.multiply(r[:, None], omega[:, j], out=z[:, :, j])
             z[:, :, j] += centres[i, j, None]
         yield i, k, z
-
-
-# ---------------------------------------------------------------------------
-# Oscillatory integrals  B(f, rho) = int_0^inf f(s) J0(s * rho) ds
-# ---------------------------------------------------------------------------
-#
-# The integration axis is cut at the zeros of J0(s*rho); each cell gets a
-# Gauss-Legendre rule in the phase variable z = s*rho, so the node set is
-# shared by every rho.  The alternating cell sums are accelerated by iterated
-# averaging of the partial sums (Euler-style), which handles the conditionally
-# convergent tails that appear when f(s) ~ const/s.
-
-@lru_cache(maxsize=8)
-def _j0_cells(n_cells: int, n_gl: int):
-    zeros = np.concatenate([[0.0], _jn_zeros(0, n_cells)])
-    gx, gw = _leggauss(n_gl)
-    half = 0.5 * (zeros[1:] - zeros[:-1])
-    mid = 0.5 * (zeros[1:] + zeros[:-1])
-    zn = half[:, None] * gx[None, :] + mid[:, None]       # (cells, n_gl)
-    zw = half[:, None] * np.broadcast_to(gw, (n_cells, n_gl))
-    return zn, zw, _j0(zn)
-
-
-def _averaged_limit(psums: np.ndarray, depth: int):
-    """Iterated averaging of the trailing `depth` partial sums (last axis)."""
-    tail = psums[..., -(depth + 1):].copy()
-    while tail.shape[-1] > 1:
-        tail = 0.5 * (tail[..., 1:] + tail[..., :-1])
-    return tail[..., 0]
-
-
-def bessel_j0_integral(f, rho, n_cells: int = 80, n_gl: int = 16,
-                       avg_depth: int = 40, check_decay: bool = True):
-    """Evaluate B(f, rho) = int_0^inf f(s) J0(s rho) ds for rho > 0.
-
-    `f` must accept numpy arrays elementwise.  `rho` may be a scalar or a
-    1-D array; the result has the shape of `rho`.  Raises DecayError when the
-    trailing cell sums fail to settle (integrand grows instead of decaying).
-    """
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr <= 0):
-        raise ValueError("bessel_j0_integral requires rho > 0")
-    zn, zw, j0z = _j0_cells(n_cells, n_gl)
-    # the (rho, cell, node) array in blocks of at most _EVAL_BLOCK nodes,
-    # each block's s = z/rho overwritten by its products f(s) J0(z) w
-    n_rho = len(rho_arr)
-    step = max(1, _EVAL_BLOCK // zn.size)
-    buf = np.empty((min(step, n_rho),) + zn.shape)
-    terms = np.empty((n_rho, n_cells))                     # (n_rho, cells)
-    for lo in range(0, n_rho, step):
-        r = rho_arr[lo:lo + step, None]
-        s = np.divide(zn, r[:, :, None], out=buf[:len(r)])
-        vals = np.multiply(f(s), j0z, out=s)
-        vals *= zw
-        np.divide(vals.sum(axis=2), r, out=terms[lo:lo + step])
-    psums = np.cumsum(terms, axis=1)
-    depth = min(avg_depth, n_cells - 2)
-    out = _averaged_limit(psums, depth)
-    if check_decay:
-        # classical convergence needs the cell magnitudes to decay; growing
-        # tails mean the averaging would only Abel-regularize a divergent
-        # integral, which is not what callers are asking for
-        mid = n_cells // 2
-        tail_mean = np.abs(terms[:, -8:]).mean(axis=1)
-        mid_mean = np.abs(terms[:, mid - 4:mid + 4]).mean(axis=1)
-        scale = np.abs(terms).max(axis=1)
-        bad = (tail_mean > 1.2 * mid_mean) & (tail_mean > 1e-10 * scale)
-        if np.any(bad):
-            raise DecayError(
-                "oscillation-cell magnitudes grow along the tail; the "
-                "integrand decays too slowly for the J0 quadrature")
-    return out if np.ndim(rho) else float(out[0])
-

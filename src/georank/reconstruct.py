@@ -11,13 +11,15 @@ Laplacian, realized three interchangeable ways:
 * ``hankel``    - order-zero Hankel transform route for isotropic fields
   (forward transform of the divergence profile, multiply by |xi|, transform
   back, using that the isotropic Fourier transform is an involution).  The
-  spectrum |xi| F(div R) is ``divergence_fourier_profile``, evaluated once
-  on one fixed Gauss-Legendre rule over the frequency axis that every
-  output radius shares.  It subtracts the far field s/sqrt(1+s^2) that
-  s h(s) tends to for every measure in d = 2 and adds back its exact
-  transform from the Hankel pair
-  int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho, so the J0
-  quadrature only sees an absolutely convergent remainder;
+  spectrum |xi| F(div R) is ``divergence_fourier_profile``: one FFTLog
+  (Talman 1978; Hamilton 2000; scipy.fft.fht) of s h(s), sampled once on
+  4 096 log-spaced nodes, brought by a 6-point Lagrange interpolant to one
+  fixed Gauss-Legendre rule over the frequency axis that every output
+  radius shares, and transformed back on that rule.  It subtracts the far
+  field a s/sqrt(1+s^2) that s h(s) tends to (a = 1 for every measure in
+  d = 2) and adds back its exact transform from the Hankel pair
+  int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho, so FFTLog only
+  sees an absolutely convergent remainder;
 * ``extension`` - harmonic extension to the upper half space: the density is
   the boundary limit of -d/dt of the extension, evaluated at small heights t
   via the Poisson kernel and Richardson-extrapolated in t.  For an empirical
@@ -42,11 +44,11 @@ from scipy.special import j0
 
 from . import _write
 from . import specfun as sf
-from ._quadrature import (_EVAL_BLOCK, bessel_j0_integral, circle_rule,
-                          geometric_edges, gl_nodes, gl_segments, ring_blocks,
-                          sphere_rule)
-from .errors import (BudgetError, ConfigError, DecayError, ParityError,
-                     ParseError, ToleranceError)
+from ._quadrature import (_EVAL_BLOCK, circle_rule, geometric_edges, gl_nodes,
+                          gl_segments, ring_blocks, sphere_rule)
+from .errors import (BudgetError, ConfigError, DecayError,
+                     DimensionMismatchError, ParityError, ParseError,
+                     ToleranceError)
 from .measures import (Empirical, Measure, _read_table, _row_dots, _row_norms,
                        density as measure_density)
 from .rankfield import (RankEvaluator, VectorGridField,
@@ -194,12 +196,18 @@ def _errors(f_hat, f_ref, prof):
 def _targets(ev, cfg, route, default_radii, points=True):
     """(pts, radii): the rows of cfg.points with radii None, else the points
     (r, 0, ..., 0) at cfg.radii or at the route's default_radii.  A route
-    that writes only curves (points=False) refuses cfg.points."""
+    that writes only curves (points=False) refuses cfg.points, and every
+    route refuses points whose column count is not the measure's d."""
     if cfg.points is not None:
         if not points:
             raise ConfigError(f"the {route} route writes a radial curve at "
                               "--radii (cfg.radii) and takes no --points")
-        return np.atleast_2d(np.asarray(cfg.points, dtype=float)), None
+        pts = np.atleast_2d(np.asarray(cfg.points, dtype=float))
+        if pts.shape[1] != ev.d:
+            raise DimensionMismatchError(
+                f"cfg.points has {pts.shape[1]} columns, but the measure "
+                f"lives in d = {ev.d}")
+        return pts, None
     radii = (np.asarray(cfg.radii, dtype=float) if cfg.radii is not None
              else default_radii)
     pts = np.zeros((len(radii), ev.d))
@@ -425,13 +433,62 @@ def _require_isotropic_d2(ev):
                           "measures in d = 2")
 
 
-# Inner J0 rule on the subtracted remainder s*h(s) - s/sqrt(1+s^2), which
-# decays like s^{-2} and converges absolutely: 24 zero-to-zero cells,
-# averaged over the last 16 partial sums, where the conditionally convergent
-# s*h(s) itself needed 80 cells and 40.  On the Gaussian family the Hankel
-# route's error then sits within 5 % of its outer rule's own floor.
-_HANKEL_J0_CELLS = 24
-_HANKEL_J0_AVG = 16
+# FFTLog grid of the spectrum: s h(s) is sampled once on n nodes log-spaced
+# over [1e-8, 1e8], whose top _SPECTRUM_TOP nodes (a factor 1.15 in s) must
+# show its far-field limit to _SPECTRUM_SETTLE of max |s h(s)|
+_SPECTRUM_NODES = 4096
+_SPECTRUM_LOG10 = 8.0
+_SPECTRUM_TOP = 16
+_SPECTRUM_SETTLE = 1e-8
+# prod_{l != m} (m - l) over l = 0..5: the denominators of the 6-point
+# Lagrange weights on the uniform grid in ln k
+_LAGRANGE_DENOM = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
+
+
+def _fftlog_j0(g, s, rho):
+    """B(rho) = int_0^inf g(s) J0(rho s) ds from samples g at log-spaced
+    nodes s: one forward FFTLog of order 0 (scipy.fft.fht, bias 0, offset
+    0) gives k B(k) at the nodes k = 1/s, and a 6-point Lagrange
+    interpolant in ln k brings B to the frequencies rho, which must lie
+    within [1/s[-1], 1/s[0]]."""
+    from scipy.fft import fht
+    n = len(g)
+    dln = np.log(s[-1] / s[0]) / (n - 1)
+    lnk = -np.log(s[::-1])
+    B = fht(g, dln, 0.0) / np.exp(lnk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (np.log(rho) - lnk[0]) / dln        # fractional node index
+    if not (np.all(x >= 0.0) and np.all(x <= n - 1)):
+        raise ValueError(f"2 pi |xi| must lie in [{np.exp(lnk[0]):.3g}, "
+                         f"{np.exp(lnk[-1]):.3g}], the FFTLog window")
+    j = np.clip(np.floor(x).astype(int) - 2, 0, n - 6)
+    du = (x - j)[:, None] - np.arange(6.0)
+    w = np.ones_like(du)
+    for m in range(6):
+        w[:, np.arange(6) != m] *= du[:, m:m + 1]
+    w /= _LAGRANGE_DENOM
+    return np.einsum("ij,ij->i", w, B[j[:, None] + np.arange(6)])
+
+
+def _spectra(ev, rho):
+    """V at rho = 2 pi |xi| on the FFTLog grid of _SPECTRUM_NODES nodes and
+    on its even nodes, and the far-field limit a, from one evaluation of h.
+    """
+    s = np.logspace(-_SPECTRUM_LOG10, _SPECTRUM_LOG10, _SPECTRUM_NODES)
+    sh = s * ev.profile.h(s)
+    a = float(sh[-1])
+    if not np.all(np.isfinite(sh)):
+        raise DecayError("s h(s) is not finite on the spectrum grid")
+    if (np.max(np.abs(sh[-_SPECTRUM_TOP:] - a))
+            > _SPECTRUM_SETTLE * np.max(np.abs(sh))):
+        raise DecayError(
+            "s h(s) does not settle to a limit over the top of the spectrum "
+            f"grid (s near 1e{_SPECTRUM_LOG10:g}); it is not admissible for "
+            "the Hankel transform")
+    g = sh - a * s / np.sqrt(1.0 + s * s)
+    far = a * np.exp(-rho)
+    return [far + rho * _fftlog_j0(g[::step], s[::step], rho)
+            for step in (1, 2)], a
 
 
 def divergence_fourier_profile(ev: RankEvaluator, xi):
@@ -439,31 +496,29 @@ def divergence_fourier_profile(ev: RankEvaluator, xi):
 
     F div R is isotropic with radial value 2 pi int s h(s) J0(2 pi |xi| s) ds.
     Every probability measure on R^2 shares its far field: h(s) =
-    E[1/|x - Z|] gives s h(s) -> 1, and the Hankel pair
+    E[1/|x - Z|] gives s h(s) -> a = 1.  The Hankel pair
     int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho
     (Gradshteyn & Ryzhik 6.554.1) transforms that far field in closed form,
     so with rho = 2 pi |xi|
-    V = e^{-rho} + rho B(s h(s) - s/sqrt(1+s^2), rho),
-    whose remainder converges absolutely.  Raises DecayError when s h(s) is
-    not admissible, checked once at rho = pi, where the quadrature window
-    sees the true tail of s h(s); the remainder is never checked (for the
-    Cauchy family it is rounding noise, whose cell sums do not decay).
+    V = a e^{-rho} + rho B(s h(s) - a s/sqrt(1+s^2), rho),
+    where B(g, rho) = int_0^inf g(s) J0(rho s) ds of the absolutely
+    convergent remainder is one FFTLog (Talman 1978, J. Comput. Phys. 29;
+    Hamilton 2000, MNRAS 312; scipy.fft.fht) on _SPECTRUM_NODES nodes
+    log-spaced over s in [1e-8, 1e8], brought to rho by a 6-point Lagrange
+    interpolant in ln k; a is read off the top node.  h is evaluated once,
+    on that grid.  Raises DecayError when s h(s) is not admissible: not
+    finite on the grid, or not settled to a over its top nodes; ValueError
+    when 2 pi |xi| leaves the grid's window [1e-8, 1e8].
     """
     _require_isotropic_d2(ev)
-    h = ev.profile.h
-    bessel_j0_integral(lambda s: s * h(s), np.pi, check_decay=True)
     rho = 2.0 * np.pi * np.atleast_1d(np.asarray(xi, dtype=float))
-    V = np.exp(-rho) + rho * bessel_j0_integral(
-        lambda s: s * h(s) - s / np.sqrt(1.0 + s * s), rho,
-        n_cells=_HANKEL_J0_CELLS, avg_depth=_HANKEL_J0_AVG,
-        check_decay=False)
+    V = _spectra(ev, rho)[0][0]
     return V.reshape(np.shape(xi)) if np.ndim(xi) else float(V[0])
 
 
 # Outer rule of the Hankel chain: Gauss-Legendre on t in [0, T], shared by
 # every output radius.  |xi| F(div R) decays like e^{-2 pi^2 t^2} (Gaussian)
-# or e^{-2 pi t} (Cauchy), so T = 4 leaves a negligible tail; beyond it the
-# inner J0 window sees only the head of s*h(s) and V loses its decay.
+# or e^{-2 pi t} (Cauchy), so T = 4 leaves a negligible tail.
 _HANKEL_T = 4.0
 _HANKEL_SEGMENTS = 16
 _HANKEL_GL = 32
@@ -476,11 +531,19 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
     """Reconstruction through the isotropic Fourier/Hankel chain:
     transform the divergence profile, multiply by |xi|, transform back.
 
-    V(t) = |xi| F(div R) at |xi| = t, from divergence_fourier_profile, is
-    evaluated once on a fixed Gauss-Legendre rule over [0, T]; every radius
-    then comes from the same nodes.  Raises DecayError when s h(s) is not
-    admissible, or when the last segment of the outer rule holds a
-    non-negligible share of the integrand, i.e. V decays too slowly.
+    V(t) = |xi| F(div R) at |xi| = t, the spectrum of
+    divergence_fourier_profile, is evaluated once on a fixed Gauss-Legendre
+    rule over [0, T]; every radius then comes from the same nodes.  Raises
+    DecayError when s h(s) is not admissible, or when the last segment of
+    the outer rule holds a non-negligible share of the integrand, i.e. V
+    decays too slowly.
+
+    Diagnostics: spectrum_nodes, the FFTLog grid's n; far_field_limit, a;
+    outer_tail_share, the last segment's share of the outer integrand; and
+    refinement_delta, max |f_hat(n) - f_hat(n/2)| where the n/2 spectrum is
+    the FFTLog of the same samples on the grid's even nodes.  The delta is
+    truth-free and covers the spectrum grid only, not the truncation of the
+    outer rule at T.
     """
     _require_isotropic_d2(ev)
     targets = _targets(ev, cfg, "Hankel", np.linspace(0.2, 2.0, 10),
@@ -488,9 +551,11 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
     radii = targets[1]
     t, w = gl_segments(np.linspace(0.0, _HANKEL_T, _HANKEL_SEGMENTS + 1),
                        _HANKEL_GL)
-    wtv = w * t * divergence_fourier_profile(ev, t)
+    (V, V_half), a = _spectra(ev, 2.0 * np.pi * t)
+    wtv = w * t * V
     tail = np.abs(wtv[-_HANKEL_GL:]).sum()
-    if tail > _HANKEL_TAIL_SHARE * np.abs(wtv).sum():
+    share = tail / np.abs(wtv).sum()
+    if share > _HANKEL_TAIL_SHARE:
         raise DecayError(
             f"|xi| F(div R) does not decay on [0, {_HANKEL_T:g}]: the last "
             "segment of the outer rule holds a non-negligible share")
@@ -498,12 +563,18 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
     # f = gamma_2 * (-Delta)^{1/2} h; the half-Laplacian contributes a 2 pi
     # via 2 pi F^{-1}(|xi| F h), the radial inverse transform another 2 pi
     const = sf.gamma_d(2) * (2.0 * np.pi) ** 2
+    dwtv = w * t * (V - V_half)
     f_hat = np.empty(len(radii))
+    delta = np.empty(len(radii))
     step = _EVAL_BLOCK // len(t)
     for lo in range(0, len(radii), step):
-        f_hat[lo:lo + step] = const * (
-            j0(2.0 * np.pi * np.outer(radii[lo:lo + step], t)) @ wtv)
-    return _with_errors(_report("hankel", ev, cfg, targets, f_hat, {}), ev)
+        kern = j0(2.0 * np.pi * np.outer(radii[lo:lo + step], t))
+        f_hat[lo:lo + step] = const * (kern @ wtv)
+        delta[lo:lo + step] = const * (kern @ dwtv)
+    diag = {"spectrum_nodes": _SPECTRUM_NODES, "far_field_limit": a,
+            "outer_tail_share": float(share),
+            "refinement_delta": float(np.max(np.abs(delta)))}
+    return _with_errors(_report("hankel", ev, cfg, targets, f_hat, diag), ev)
 
 
 # ---------------------------------------------------------------------------

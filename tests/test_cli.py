@@ -692,6 +692,21 @@ def test_cold_start_loads_no_root_finder_or_integrator(tmp_path):
     assert (tmp_path / "grid.csv").stat().st_size > 0
 
 
+def test_cli_import_loads_no_fft_or_interpolation():
+    # the Hankel route imports scipy.fft inside the function that calls it;
+    # scipy.interpolate alone would add 0.19 s and 24 MB to every start
+    src = os.path.dirname(os.path.dirname(gr.__file__))
+    code = ("import sys\n"
+            "import georank.cli\n"
+            "print([m for m in ('scipy.fft', 'scipy.interpolate') "
+            "if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          capture_output=True, text=True)
+    assert done.stdout.split("\n")[-2] == "[]"
+
+
 def test_quantile_starting_on_an_atom(tmp_path):
     # the coordinatewise median of these atoms is the atom at the origin
     atoms = tmp_path / "five.csv"

@@ -13,8 +13,9 @@ from scipy.integrate import quad
 
 import georank as gr
 from georank import _quadrature, _write, reconstruct
-from georank._quadrature import bessel_j0_integral, sphere_rule
-from georank.errors import (ConfigError, DecayError, ParityError,
+from georank._quadrature import sphere_rule
+from georank.errors import (ConfigError, DecayError,
+                            DimensionMismatchError, ParityError,
                             ToleranceError)
 from georank.measures import _row_dots
 
@@ -117,6 +118,20 @@ def test_monte_carlo_fields_are_refused_pointwise():
                                           grid_nodes=13))
     # refused before any atom is drawn
     assert ev2._atoms is None and ev3._atoms is None
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("method, measure", [
+    ("singular", gr.RadialClosedForm("gaussian", 2)),
+    ("extension", gr.RadialClosedForm("gaussian", 2)),
+    ("extension", gr.Empirical(np.random.default_rng(13).standard_normal(
+        (20, 2))))], ids=["singular", "extension", "extension-atoms"])
+def test_points_routes_refuse_points_of_another_dimension(method, measure,
+                                                          cols):
+    ev = gr.RankEvaluator(measure)
+    with pytest.raises(DimensionMismatchError, match=f"{cols} columns.*d = 2"):
+        gr.reconstruct_density(ev, CFG(method=method,
+                                       points=np.ones((2, cols))))
 
 
 @pytest.mark.parametrize("method, d", [("hankel", 2), ("odd-local", 3)])
@@ -308,64 +323,81 @@ def test_singular_many_points_in_bounded_memory():
 # Hankel
 # ---------------------------------------------------------------------------
 
-def test_j0_integral_far_field_pair():
-    # Gradshteyn & Ryzhik 6.554.1, the far field the Hankel chain subtracts:
-    # int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho
-    for rho in (0.5, 1.0, 2.0):
-        got = bessel_j0_integral(lambda s: s / np.sqrt(1.0 + s * s), rho)
-        assert got == pytest.approx(np.exp(-rho) / rho, rel=1e-8)
+def _stretched(fam, h_of):
+    """An evaluator of the d = 2 family whose profile h is h_of(h)."""
+    ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
+    ev._profile = dataclasses.replace(ev.profile, h=h_of(ev.profile.h))
+    return ev
 
 
-def test_j0_integral_decay_error_on_growing_input():
-    with pytest.raises(DecayError):
-        bessel_j0_integral(lambda s: s ** 1.5, 1.0)
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_spectrum_far_field_pair_scales_with_its_limit(c):
+    # h(s / c) of the Cauchy family: s h(s / c) -> c, and by Gradshteyn &
+    # Ryzhik 6.554.1, int_0^inf s (1+s^2)^{-1/2} J0(rho s) ds = e^{-rho}/rho,
+    # its spectrum is c e^{-c rho}; the remainder s h(s / c) - c s /
+    # sqrt(1+s^2) that FFTLog sees is not zero
+    ev = _stretched("cauchy", lambda h: (lambda s: h(s / c)))
+    xi = np.linspace(0.05, 0.5, 10)
+    rho = 2.0 * np.pi * xi
+    got = gr.divergence_fourier_profile(ev, xi)
+    assert np.max(np.abs(got - c * np.exp(-c * rho))) <= 5e-12 * c
+    if c > 1.0:            # c < 1 decays too slowly for the outer rule
+        rep = gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel"))
+        assert rep.diagnostics["far_field_limit"] == pytest.approx(
+            c, rel=1e-14)
 
 
-def _hankel_remainder(h):
-    return lambda s: s * h(s) - s / np.sqrt(1.0 + s * s)
+def test_spectrum_of_a_decaying_profile_has_no_far_field():
+    # s h(s) = s / (1 + s^2) -> 0, and int_0^inf s (1+s^2)^{-1} J0(rho s) ds
+    # = K0(rho) (Gradshteyn & Ryzhik 6.532.4): admitted, with V = rho K0(rho)
+    from scipy.special import k0
+    ev = _stretched("cauchy", lambda h: (lambda s: 1.0 / (1.0 + s * s)))
+    xi = np.linspace(0.05, 0.5, 10)
+    rho = 2.0 * np.pi * xi
+    got = gr.divergence_fourier_profile(ev, xi)
+    assert np.max(np.abs(got - rho * k0(rho))) <= 5e-12
 
 
-def _one_shot_j0_integral(f, rho, n_cells, n_gl, avg_depth):
-    zn, zw, j0z = _quadrature._j0_cells(n_cells, n_gl)
-    s = zn[None, :, :] / rho[:, None, None]
-    vals = f(s) * j0z[None, :, :] * zw[None, :, :]
-    terms = vals.sum(axis=2) / rho[:, None]
-    return _quadrature._averaged_limit(np.cumsum(terms, axis=1),
-                                       min(avg_depth, n_cells - 2))
+@pytest.mark.parametrize("h_of", [
+    lambda h: (lambda s: np.sqrt(s)),                   # s h(s) = s^1.5
+    lambda h: (lambda s: np.log(2.0 + s) / s),          # s h(s) = log(2 + s)
+    lambda h: (lambda s: np.where(s > 1e3, np.inf, h(s))),
+    lambda h: (lambda s: np.where(s < 1e-6, np.nan, h(s)))],
+    ids=["growing", "log-growing", "inf-tail", "nan-head"])
+def test_spectrum_decay_error_on_growing_input(h_of):
+    # refused from the samples in hand: not finite on the grid, or not
+    # settled to a limit over its top nodes
+    ev = _stretched("gaussian", h_of)
+    with pytest.raises(DecayError, match="s h\\(s\\)"):
+        gr.divergence_fourier_profile(ev, 0.25)
+    with pytest.raises(DecayError, match="s h\\(s\\)"):
+        gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel"))
 
 
-@pytest.mark.parametrize("n_cells, avg_depth", [
-    (80, 40), (reconstruct._HANKEL_J0_CELLS, reconstruct._HANKEL_J0_AVG)])
-@pytest.mark.parametrize("family", ["gaussian", "cauchy"])
-def test_j0_integral_in_blocks_equals_the_one_shot_sum(family, n_cells,
-                                                       avg_depth):
-    h = gr.RankEvaluator(gr.RadialClosedForm(family, 2)).profile.h
-    f = _hankel_remainder(h)
-    step = _quadrature._EVAL_BLOCK // (n_cells * 16)
-    for n_rho in (1, step, 3 * step + 1):
-        rho = np.linspace(0.05, 25.0, n_rho)
-        got = bessel_j0_integral(f, rho, n_cells=n_cells,
-                                 avg_depth=avg_depth, check_decay=False)
-        want = _one_shot_j0_integral(f, rho, n_cells, 16, avg_depth)
-        assert got.tobytes() == want.tobytes()
+def test_spectrum_refuses_frequencies_outside_its_window():
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    for xi in (0.0, -0.25, 1e-10, 1e8):
+        with pytest.raises(ValueError, match="FFTLog window"):
+            gr.divergence_fourier_profile(ev, xi)
 
 
-def test_hankel_j0_integral_peaks_within_its_blocks():
-    # in one piece, the 512 x 24 x 16 nodes take 6.3 MB at the peak
-    f = _hankel_remainder(
-        gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2)).profile.h)
-    rho = 2.0 * np.pi * np.linspace(0.0, 4.0, 513)[1:]
-    kw = dict(n_cells=reconstruct._HANKEL_J0_CELLS,
-              avg_depth=reconstruct._HANKEL_J0_AVG, check_decay=False)
-    bessel_j0_integral(f, rho[:2], **kw)
-    tracemalloc.start()
-    try:
-        out = bessel_j0_integral(f, rho, **kw)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2_000_000
-    assert np.all(np.isfinite(out))
+def test_hankel_spectrum_peaks_within_2mb():
+    # one spectrum on the 512 outer nodes and one route call each stay
+    # within 2 MB, after a first call has imported scipy.fft
+    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
+    t = np.linspace(0.0, 4.0, 513)[1:]
+    calls = (lambda: gr.divergence_fourier_profile(ev, t),
+             lambda: gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel")))
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+    assert np.all(np.isfinite(out.f_hat))
 
 
 def test_gl_segments_equal_gl_nodes_per_segment():
@@ -401,7 +433,7 @@ def test_spectrum_far_field_subtracted():
     # field itself, so V = e^{-rho} to rounding
     xi = np.linspace(0.05, 0.5, 10)
     for fam, want, rel in (("gaussian", np.exp(-2 * np.pi ** 2 * xi ** 2),
-                            2e-8),
+                            3e-9),
                            ("cauchy", np.exp(-2 * np.pi * xi), 1e-14)):
         ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
         got = gr.divergence_fourier_profile(ev, xi)
@@ -411,27 +443,37 @@ def test_spectrum_far_field_subtracted():
 
 
 def test_hankel_route_reads_the_public_spectrum(monkeypatch):
-    # one |xi| F(div R): the Hankel chain takes V from the public function
+    # one |xi| F(div R): the Hankel chain reads, on its 512 outer nodes, the
+    # spectrum that the public function returns
     ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
     want = gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel")).f_hat
     seen = []
+    spectra = reconstruct._spectra
 
-    def spy(ev, xi):
-        seen.append(len(xi))
-        return gr.divergence_fourier_profile(ev, xi)
+    def spy(ev, rho):
+        out = spectra(ev, rho)
+        seen.append(out[0][0])
+        return out
 
-    monkeypatch.setattr(reconstruct, "divergence_fourier_profile", spy)
+    monkeypatch.setattr(reconstruct, "_spectra", spy)
     got = reconstruct.reconstruct_isotropic_hankel(ev, CFG(method="hankel"))
-    assert seen == [reconstruct._HANKEL_SEGMENTS * reconstruct._HANKEL_GL]
+    t, _ = _quadrature.gl_segments(
+        np.linspace(0.0, reconstruct._HANKEL_T,
+                    reconstruct._HANKEL_SEGMENTS + 1), reconstruct._HANKEL_GL)
+    assert [len(v) for v in seen] == [len(t)] == [512]
+    assert np.array_equal(seen[0], gr.divergence_fourier_profile(ev, t))
     assert np.array_equal(got.f_hat, want)
 
 
 @pytest.mark.parametrize("fam", ["gaussian", "cauchy"])
 def test_hankel_pipeline_matches_closed_form(fam):
+    # ten times the errors read, 1.6e-12 and 3.2e-10; the Cauchy one is the
+    # outer rule's floor, its spectrum being exact to rounding
     ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
     rep = gr.reconstruct_isotropic_hankel(
         ev, CFG(method="hankel", radii=np.linspace(0.0, 2.0, 10)))
-    assert rep.diagnostics["sup_rel_error"] <= 2e-8
+    assert rep.diagnostics["sup_rel_error"] <= {"gaussian": 2e-11,
+                                                "cauchy": 4e-9}[fam]
     assert rep.diagnostics["negativity_mass"] <= 1e-3
     # full-pipeline value at the origin
     assert rep.f_hat[0] == pytest.approx(1.0 / (2 * np.pi), rel=1e-4)
@@ -451,23 +493,44 @@ def test_hankel_radii_share_one_outer_rule(fam):
 
 
 @pytest.mark.parametrize("fam", ["gaussian", "cauchy"])
-def test_hankel_inner_rule_uses_half_the_j0_nodes(fam, monkeypatch):
-    # the far-field subtraction leaves an absolutely convergent inner
-    # transform: at most half of the J0 nodes of the unsubtracted chain,
-    # 80 cells x 16 nodes at each of the 512 outer nodes plus the 80 x 16
-    # admissibility check
+def test_hankel_spectrum_evaluates_h_once(fam):
+    # one spectrum, and one route call, evaluate h once, on at most the
+    # 4 096 nodes of the FFTLog grid
     calls = []
 
-    def counted(f, rho, n_cells=80, n_gl=16, **kw):
-        calls.append(np.size(rho) * n_cells * n_gl)
-        return bessel_j0_integral(f, rho, n_cells=n_cells, n_gl=n_gl, **kw)
+    def counted(h):
+        def spy(s):
+            calls.append(np.size(s))
+            return h(s)
+        return spy
 
-    monkeypatch.setattr(reconstruct, "bessel_j0_integral", counted)
+    ev = _stretched(fam, counted)
+    gr.divergence_fourier_profile(ev, np.linspace(0.05, 0.5, 10))
+    assert calls == [reconstruct._SPECTRUM_NODES] and calls[0] <= 4096
+    calls.clear()
+    rep = gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel"))
+    assert calls == [reconstruct._SPECTRUM_NODES]
+    assert rep.diagnostics["sup_rel_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("fam", ["gaussian", "cauchy"])
+def test_hankel_diagnostics_explain_the_report(fam):
+    # n, the far-field limit, the outer tail share and the truth-free
+    # refinement delta reach the JSON, never the CSV
     ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
     rep = gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel"))
-    assert rep.diagnostics["sup_rel_error"] <= 1e-8
-    assert len(calls) == 2
-    assert sum(calls) <= (512 * 80 * 16 + 80 * 16) // 2
+    diag = rep.diagnostics
+    assert diag["spectrum_nodes"] == 4096
+    assert diag["far_field_limit"] == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 < diag["outer_tail_share"] <= reconstruct._HANKEL_TAIL_SHARE
+    # the n/2 grid carries the error of 2 048 nodes, 1e-10 on the Gaussian;
+    # on the Cauchy the remainder is zero, so both grids agree to rounding
+    delta = diag["refinement_delta"]
+    assert (1e-13 <= delta <= 1e-9 if fam == "gaussian" else delta <= 1e-15)
+    text = _write.json_text(rep.to_json_dict())
+    for key in ("spectrum_nodes", "far_field_limit", "outer_tail_share",
+                "refinement_delta"):
+        assert f'"{key}"' in text and key not in rep.csv_text()
 
 
 def test_hankel_many_radii_in_bounded_memory():
@@ -735,7 +798,9 @@ _CLOUD = np.random.default_rng(25).standard_normal((40, 2))
                                                         [1.0, 0.5]])),
      "points", "x1,x2,f_hat" + _REF, ["refinement_delta"] + _ERRORS),
     ("hankel", ("gaussian", 2), dict(radii=np.array([0.2, 1.0, 2.0])),
-     "radial_curve", _CURVE + _REF, _ERRORS + ["negativity_mass"]),
+     "radial_curve", _CURVE + _REF,
+     ["spectrum_nodes", "far_field_limit", "outer_tail_share",
+      "refinement_delta"] + _ERRORS + ["negativity_mass"]),
     ("extension", ("gaussian", 2), dict(radii=np.array([0.0, 0.5])),
      "radial_curve", _CURVE + _REF, _HEIGHTS + _HEIGHT_ERRORS),
     ("extension", ("cauchy", 2), dict(points=np.array([[0.3, -0.4]])),
