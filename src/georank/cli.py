@@ -329,7 +329,7 @@ def cmd_contour(args):
         raise ConfigError(f"--rays must be at least 1, got {args.rays}")
     _positive_tol(args)
     c = depth_contour(ev, args.beta, n_rays=args.rays, tol=args.tol)
-    if c.kind == "rayfan" and args.format != "json":
+    if args.format != "json":
         _emit(args, c.csv_text())
     else:
         payload = c.summary()

@@ -17,7 +17,7 @@ from . import _write
 from . import specfun as sf
 from ._quadrature import sphere_rule
 from .errors import ParityError
-from .measures import RadialClosedForm, _read_table, invert_g, sample
+from .measures import RadialClosedForm, invert_g, sample
 from .rankfield import _EVAL_BLOCK, RankEvaluator, _neg_laplacian
 
 _RAY_CAP = 1e9
@@ -49,9 +49,11 @@ class DepthContour:
         return self.directions * self.radii[:, None]
 
     def csv_text(self) -> str:
-        """One row per ray: direction components, radius, achieved |R|."""
+        """A radial contour as one row beta, r_beta; a ray fan as one row
+        per ray: direction components, radius, achieved |R|."""
         if self.kind == "radial":
-            raise ValueError("rayfan contours only")
+            return _write.csv_text(["beta", "r_beta"],
+                                   [[self.beta, self.r_beta]])
         d = self.directions.shape[1]
         names = [f"u{i+1}" for i in range(d)] + ["radius", "rank_norm"]
         return _write.csv_text(names, np.column_stack(
@@ -69,14 +71,6 @@ class DepthContour:
         else:
             out["n_rays"] = int(len(self.radii))
         return out
-
-
-def load_contour_csv(path):
-    """Read back a ray-fan contour CSV as a dict of column arrays."""
-    _, data = _read_table(path)
-    d = data.shape[1] - 2
-    return {"directions": data[:, :d], "radii": data[:, d],
-            "rank_norm": data[:, d + 1]}
 
 
 def _ray_directions(d: int, n: int) -> np.ndarray:
@@ -339,28 +333,3 @@ def theta_radial_exact(ev: RankEvaluator, beta: float) -> float:
     if beta <= 0.0:
         return 0.0
     return radial_content_oracle(ev.measure, invert_g(ev.profile, beta))
-
-
-def theta_reindex(ev: RankEvaluator, beta: float, mc_budget: int = 100_000,
-                  seed: int = 0) -> float:
-    """theta(beta) = P[|R(Z)| <= beta], the probability content of the depth
-    region of order beta, by Monte Carlo."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    if beta == 0.0:
-        return 0.0
-    theta = rank_norm_cdf(ev, mc_budget, seed)
-    return float(theta(beta))
-
-
-def reindexed_rank(ev: RankEvaluator, x, theta=None,
-                   mc_budget: int = 100_000, seed: int = 0) -> np.ndarray:
-    """Rank re-indexed by probability content:
-    theta(|R(x)|) * R(x)/|R(x)|, with value 0 at the median."""
-    if theta is None:
-        theta = rank_norm_cdf(ev, mc_budget, seed)
-    r = ev.rank(np.asarray(x, dtype=float))
-    nrm = float(np.linalg.norm(r))
-    if nrm == 0.0:
-        return np.zeros(ev.d)
-    return float(theta(nrm)) * r / nrm

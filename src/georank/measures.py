@@ -32,13 +32,13 @@ self test prints both values as a reminder.
 
 CSV input
 ---------
-Every table georank reads (--csv atoms, --points, saved curves, contours and
-grid fields) goes through one parser, ``_read_table``: blank lines and lines
-starting with '#' are skipped, a non-numeric first line is the header, and a
-bad or non-finite cell, a ragged row or a file without data rows raises
-ParseError naming the file line as the row and the column.  Plain numeric
-text is parsed by one np.loadtxt call; anything else, and every error, goes
-through the row-by-row csv.reader parser.
+Every table georank reads (--csv atoms and --points) goes through one
+parser, ``_read_table``: blank lines and lines starting with '#' are
+skipped, a non-numeric first line is the header, and a bad or non-finite
+cell, a ragged row or a file without data rows raises ParseError naming
+the file line as the row and the column.  Plain numeric text is parsed by
+one np.loadtxt call; anything else, and every error, goes through the
+row-by-row csv.reader parser.
 """
 
 import csv
@@ -135,7 +135,9 @@ Measure = Union[Empirical, RadialClosedForm, GenericDensity]
 class RadialProfile:
     """Scalar profiles of a radial measure: rank magnitude g, divergence h,
     their derivatives, and the target density f.  All callables accept
-    scalars or arrays of radii r >= 0."""
+    scalars or arrays of radii r >= 0.  h_prime and h_second are filled in
+    d = 3 only, where the odd-local curve and the analytic probability
+    content read them; in d = 2 they are None."""
 
     d: int
     family: str
@@ -294,12 +296,6 @@ def _profile_cauchy_d3() -> RadialProfile:
                          g_over_r)
 
 
-def _i1e_over_x(x):
-    """e^{-x} I1(x) / x, finite at x = 0 (limit 1/2)."""
-    return _piecewise(x, lambda t: 0.5 - 0.5 * t + 0.3125 * t * t,
-                      lambda t: sf.bessel_i1e(t) / t, cut=1e-4)
-
-
 def _profile_gaussian_d2() -> RadialProfile:
     a = 0.5 * np.sqrt(np.pi / 2.0)   # = sqrt(pi) / (2 sqrt 2)
     b = np.sqrt(np.pi / 2.0)
@@ -324,24 +320,11 @@ def _profile_gaussian_d2() -> RadialProfile:
         t = _radii(r)
         return _shaped(b * i0e(0.25 * t * t), r)
 
-    def h_prime(r):
-        t = _radii(r)
-        q = 0.25 * t * t
-        return _shaped(b * 0.5 * t * (i1e(q) - i0e(q)), r)
-
-    def h_second(r):
-        t = _radii(r)
-        q = 0.25 * t * t
-        d1 = 0.5 * (i1e(q) - i0e(q))
-        d2 = q * (2 * i0e(q) - 2 * i1e(q) - _i1e_over_x(q))
-        return _shaped(b * (d1 + d2), r)
-
     def f(r):
         t = _radii(r)
         return _shaped(np.exp(-0.5 * t * t) / (2 * np.pi), r)
 
-    return RadialProfile(2, "gaussian", g, g_prime, h, h_prime, h_second, f,
-                         g_over_r)
+    return RadialProfile(2, "gaussian", g, g_prime, h, None, None, f, g_over_r)
 
 
 def _profile_cauchy_d2() -> RadialProfile:
@@ -362,20 +345,11 @@ def _profile_cauchy_d2() -> RadialProfile:
         t = _radii(r)
         return _shaped(1.0 / np.sqrt(1.0 + t * t), r)
 
-    def h_prime(r):
-        t = _radii(r)
-        return _shaped(-t / (1.0 + t * t) ** 1.5, r)
-
-    def h_second(r):
-        t = _radii(r)
-        return _shaped((2.0 * t * t - 1.0) / (1.0 + t * t) ** 2.5, r)
-
     def f(r):
         t = _radii(r)
         return _shaped(1.0 / (2 * np.pi * (1.0 + t * t) ** 1.5), r)
 
-    return RadialProfile(2, "cauchy", g, g_prime, h, h_prime, h_second, f,
-                         g_over_r)
+    return RadialProfile(2, "cauchy", g, g_prime, h, None, None, f, g_over_r)
 
 
 _PROFILE_BUILDERS = {

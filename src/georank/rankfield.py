@@ -11,18 +11,17 @@ at 0), so exact higher kernel derivatives are not evaluated; the weak form
 answers there.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
-from . import _threads, _write
+from . import _threads
 from ._quadrature import _EVAL_BLOCK
-from .errors import (BudgetError, DomainError, ParseError, SingularityError,
+from .errors import (BudgetError, DomainError, SingularityError,
                      StencilOverflowError, UnsupportedVariantError)
 from .measures import (Empirical, GenericDensity, Measure, RadialClosedForm,
-                       _read_table, _row_norms, radial_profile, sample)
+                       _row_norms, radial_profile, sample)
 
 _ATOM_TOL = 1e-12
 _GRID_NODE_CAP = 10_000_000
@@ -200,36 +199,6 @@ class VectorGridField:
         """All node coordinates, row-major, shape (prod(shape), d)."""
         return _grid_nodes(self.axes())
 
-    def save(self, path):
-        """One JSON header line, then CSV rows: coordinates, components."""
-        pts = self.nodes()
-        vals = self.values.reshape(pts.shape[0], -1)
-        header = json.dumps({
-            "origin": self.origin.tolist(),
-            "spacing": self.spacing,
-            "shape": list(self.shape),
-            "d": self.grid_dim,
-            "components": self.n_components,
-        })
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_write.csv_text([header], np.hstack([pts, vals])))
-
-    @classmethod
-    def load(cls, path):
-        """Read back a saved field: the JSON header line and the rows."""
-        header, data = _read_table(path)
-        try:
-            meta = json.loads(",".join(header or []))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: bad grid header") from exc
-        shape = tuple(meta["shape"])
-        k = meta["components"]
-        d = meta["d"]
-        vals = data[:, d:]
-        vals = vals.reshape(shape if k == 0 else shape + (k,))
-        return cls(np.asarray(meta["origin"]), float(meta["spacing"]),
-                   shape, vals)
-
 
 # ---------------------------------------------------------------------------
 # Rank evaluator
@@ -358,7 +327,8 @@ class RankEvaluator:
     def rank_derivative(self, x, alpha) -> np.ndarray:
         """d^alpha R at x for a length-d multi-index alpha with |alpha| <= 1:
         R(x), or for alpha = e_j column j of jacobian(x).  Higher orders are
-        finite differences of a sampled grid (sample_grid, fd_derivative)."""
+        finite differences of a sampled grid (sample_grid, then
+        fd_divergence or fd_laplacian)."""
         x = _finite_points(x)
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.d or any(a < 0 for a in alpha):
@@ -367,7 +337,8 @@ class RankEvaluator:
         if order > 1:
             raise ValueError("rank derivatives beyond the first order are "
                              "not evaluated pointwise; sample a grid with "
-                             "sample_grid and use fd_derivative")
+                             "sample_grid and difference it with "
+                             "fd_divergence or fd_laplacian")
         return self.jacobian(x)[:, alpha.index(1)] if order else self.rank(x)
 
     # -- divergence / jacobian -------------------------------------------------
@@ -463,49 +434,21 @@ def _apply_axis_stencil(values, axis, offsets, coeffs, scale):
             buf = np.multiply(c, values[tuple(sl)], out=buf)
             out += buf
     out *= scale
-    return out, radius
-
-
-def fd_derivative(field: VectorGridField, alpha, order: int = 2) -> VectorGridField:
-    """Centered finite-difference d^alpha of a grid field.
-
-    The output grid loses the stencil radius per applied axis derivative on
-    each side of that axis; origin and shape are adjusted accordingly.
-    Derivative orders above 2 per axis are formed by composing first- and
-    second-derivative stencils.
-    """
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    alpha = tuple(int(a) for a in alpha)
-    d = field.grid_dim
-    if len(alpha) != d:
-        raise ValueError(f"alpha must have length {d}")
-    values = field.values
-    origin = field.origin.copy()
-    h = field.spacing
-    for axis, a in enumerate(alpha):
-        rem = a
-        while rem > 0:
-            step = 2 if rem >= 2 else 1
-            offsets, coeffs = _STENCILS[(step, order)]
-            values, radius = _apply_axis_stencil(
-                values, axis, offsets, coeffs, 1.0 / h ** step)
-            origin[axis] += radius * h
-            rem -= step
-    shape = values.shape[:d]
-    return VectorGridField(origin, h, shape, values)
+    return out
 
 
 def _axis_sum(field, values, deriv, order):
     """Sum over the grid axes k of the deriv-th centered difference of
     values(k) along k, each term cropped to the uniform interior shape."""
+    if order not in (2, 4):
+        raise ValueError("order must be 2 or 4")
     d = field.grid_dim
     radius = 1 if order == 2 else 2
     offsets, coeffs = _STENCILS[(deriv, order)]
     out = None
     for axis in range(d):
-        comp, _ = _apply_axis_stencil(values(axis), axis, offsets, coeffs,
-                                      1.0 / field.spacing ** deriv)
+        comp = _apply_axis_stencil(values(axis), axis, offsets, coeffs,
+                                   1.0 / field.spacing ** deriv)
         comp = comp[tuple(slice(None) if k == axis else
                           slice(radius, comp.shape[k] - radius)
                           for k in range(d))]

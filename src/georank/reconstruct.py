@@ -34,7 +34,7 @@ Every route but the odd-local grid takes its points from one resolver,
 ``_targets`` (cfg.points, else cfg.radii or the route's default radii), and
 its report from one builder, ``_report``, with the closed form's density as
 reference.  A report writes the same answer as CSV (``csv_text``) and JSON
-(``to_json_dict``); ``load_curve_csv`` reads a curve back.
+(``to_json_dict``).
 """
 
 from dataclasses import dataclass, field as dc_field, replace
@@ -47,9 +47,8 @@ from . import specfun as sf
 from ._quadrature import (_EVAL_BLOCK, circle_rule, geometric_edges, gl_nodes,
                           gl_segments, ring_blocks, sphere_rule)
 from .errors import (BudgetError, ConfigError, DecayError,
-                     DimensionMismatchError, ParityError, ParseError,
-                     ToleranceError)
-from .measures import (Empirical, Measure, _read_table, _row_dots, _row_norms,
+                     DimensionMismatchError, ParityError, ToleranceError)
+from .measures import (Empirical, Measure, _row_dots, _row_norms,
                        density as measure_density)
 from .rankfield import (RankEvaluator, VectorGridField,
                         _neg_laplacian, _pair_sums, _rank_sum,
@@ -168,17 +167,6 @@ class ReconstructionReport:
     def save_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_write.json_text(self.to_json_dict()))
-
-
-def load_curve_csv(path):
-    """Read back a curve CSV as a dict of column arrays."""
-    names, data = _read_table(path)
-    if not names or not names[0].startswith("r"):
-        raise ParseError(f"{path}: missing curve header")
-    if data.shape[1] != len(names):
-        raise ParseError(f"{path}: {data.shape[1]} columns, "
-                         f"header names {len(names)}")
-    return {n: data[:, i] for i, n in enumerate(names)}
 
 
 def _sphere_area(d: int) -> float:
@@ -470,10 +458,10 @@ def _fftlog_j0(g, s, rho):
     return np.einsum("ij,ij->i", w, B[j[:, None] + np.arange(6)])
 
 
-def _spectra(ev, rho):
-    """V at rho = 2 pi |xi| on the FFTLog grid of _SPECTRUM_NODES nodes and
-    on its even nodes, and the far-field limit a, from one evaluation of h.
-    """
+def _spectrum_samples(ev):
+    """(s, g, a): the FFTLog grid of _SPECTRUM_NODES nodes, the remainder
+    g = s h(s) - a s/sqrt(1+s^2) on it and the far-field limit a, from one
+    evaluation of h; DecayError when s h(s) is not admissible."""
     s = np.logspace(-_SPECTRUM_LOG10, _SPECTRUM_LOG10, _SPECTRUM_NODES)
     sh = s * ev.profile.h(s)
     a = float(sh[-1])
@@ -485,10 +473,14 @@ def _spectra(ev, rho):
             "s h(s) does not settle to a limit over the top of the spectrum "
             f"grid (s near 1e{_SPECTRUM_LOG10:g}); it is not admissible for "
             "the Hankel transform")
-    g = sh - a * s / np.sqrt(1.0 + s * s)
-    far = a * np.exp(-rho)
-    return [far + rho * _fftlog_j0(g[::step], s[::step], rho)
-            for step in (1, 2)], a
+    return s, sh - a * s / np.sqrt(1.0 + s * s), a
+
+
+def _spectrum(s, g, a, rho):
+    """V at rho = 2 pi |xi| from samples g of the remainder at the nodes s
+    (all of _spectrum_samples' nodes, or every other one) and the far-field
+    limit a."""
+    return a * np.exp(-rho) + rho * _fftlog_j0(g, s, rho)
 
 
 def divergence_fourier_profile(ev: RankEvaluator, xi):
@@ -512,7 +504,7 @@ def divergence_fourier_profile(ev: RankEvaluator, xi):
     """
     _require_isotropic_d2(ev)
     rho = 2.0 * np.pi * np.atleast_1d(np.asarray(xi, dtype=float))
-    V = _spectra(ev, rho)[0][0]
+    V = _spectrum(*_spectrum_samples(ev), rho)
     return V.reshape(np.shape(xi)) if np.ndim(xi) else float(V[0])
 
 
@@ -551,7 +543,10 @@ def reconstruct_isotropic_hankel(ev: RankEvaluator,
     radii = targets[1]
     t, w = gl_segments(np.linspace(0.0, _HANKEL_T, _HANKEL_SEGMENTS + 1),
                        _HANKEL_GL)
-    (V, V_half), a = _spectra(ev, 2.0 * np.pi * t)
+    s, g, a = _spectrum_samples(ev)
+    rho = 2.0 * np.pi * t
+    V = _spectrum(s, g, a, rho)
+    V_half = _spectrum(s[::2], g[::2], a, rho)
     wtv = w * t * V
     tail = np.abs(wtv[-_HANKEL_GL:]).sum()
     share = tail / np.abs(wtv).sum()

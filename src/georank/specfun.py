@@ -1,10 +1,10 @@
 """Special functions and the normalizing constants used by the
 rank-reconstruction operator.
 
-Gamma, erf/erfc and the modified Bessel functions I0, I1 (plain and
-exponentially scaled) are thin wrappers over ``scipy.special``; the wrappers
-add the domain checks of this package (``DomainError``) and return a Python
-float for a scalar argument.  The operator constants are computed at call
+Gamma, erf and the exponentially scaled modified Bessel functions I0, I1
+are thin wrappers over ``scipy.special``; the wrappers add the domain
+checks of this package (``DomainError``) and return a Python float for a
+scalar argument.  The operator constants are computed at call
 time from their defining formulas (no hard-coded derived constants), so the
 identity tests in the suite exercise the arithmetic.  All functions accept
 scalars or numpy arrays and are pure.
@@ -74,23 +74,12 @@ def lambda_dl(d, l: int):
 
 
 # ---------------------------------------------------------------------------
-# erf / normal cdf
+# erf / normal pdf
 # ---------------------------------------------------------------------------
 
 def erf(x):
     """Error function."""
     return _like(x, _sps.erf(np.asarray(x, dtype=float)))
-
-
-def erfc(x):
-    """Complementary error function, accurate in the far right tail."""
-    return _like(x, _sps.erfc(np.asarray(x, dtype=float)))
-
-
-def std_normal_cdf(x):
-    """Standard normal cdf, Phi(x) = erfc(-x/sqrt(2)) / 2."""
-    x_arr = np.asarray(x, dtype=float)
-    return _like(x, 0.5 * erfc(-x_arr / np.sqrt(2.0)))
 
 
 def std_normal_pdf(x):
@@ -100,7 +89,7 @@ def std_normal_pdf(x):
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel functions I0, I1
+# Exponentially scaled modified Bessel functions I0, I1
 # ---------------------------------------------------------------------------
 
 def _bessel_i(fn, x):
@@ -110,33 +99,12 @@ def _bessel_i(fn, x):
     return _like(x, fn(x_arr))
 
 
-def bessel_i0(x):
-    """Modified Bessel function I0; overflows to inf near x ~ 713."""
-    return _bessel_i(_sps.i0, x)
-
-
 def bessel_i0e(x):
     """Exponentially scaled I0: e^{-x} I0(x), safe for any x >= 0."""
     return _bessel_i(_sps.i0e, x)
-
-
-def bessel_i1(x):
-    """Modified Bessel function I1."""
-    return _bessel_i(_sps.i1, x)
 
 
 def bessel_i1e(x):
     """Exponentially scaled I1: e^{-x} I1(x)."""
     return _bessel_i(_sps.i1e, x)
 
-
-def bessel_i0_series(x, terms: int = 20):
-    """Truncated ascending series of I0 (reference for consistency checks)."""
-    x_arr = np.asarray(x, dtype=float)
-    q = 0.25 * x_arr * x_arr
-    term = np.ones_like(x_arr)
-    s = term.copy()
-    for k in range(1, terms):
-        term = term * q / (k * k)
-        s = s + term
-    return _like(x, s)

@@ -3,6 +3,7 @@ reproducibility."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from georank import cli, rankfield
 from georank import selftest as selftest_mod
 from georank._write import csv_text
 from georank.cli import main
+from georank.measures import _read_table
 
 
 def run(argv):
@@ -81,10 +83,10 @@ def test_reconstruct_curve_with_reference(tmp_path):
                 "--method", "singular", "--radii", "0:2:0.25",
                 "--reference", "-o", str(out)])
     assert code == 0
-    data = gr.load_curve_csv(out)
-    assert set(data) == {"r", "f_hat", "f_reference", "abs_error"}
+    names, data = _read_table(out)
+    assert names == ["r", "f_hat", "f_reference", "abs_error"]
     f0 = 1.0 / (2 * np.pi)
-    assert np.max(data["abs_error"]) / f0 <= 1e-3
+    assert np.max(data[:, 3]) / f0 <= 1e-3
 
 
 def test_reconstruct_output_idempotent(tmp_path):
@@ -131,9 +133,10 @@ def test_contour_csv_roundtrip(tmp_path):
     code = run(["contour", "--csv", str(atoms), "--beta", "0.4",
                 "--rays", "16", "-o", str(out)])
     assert code == 0
-    back = gr.load_contour_csv(out)
-    assert back["directions"].shape == (16, 2)
-    assert np.max(np.abs(back["rank_norm"] - 0.4)) <= 1e-8
+    names, data = _read_table(out)
+    assert names == ["u1", "u2", "radius", "rank_norm"]
+    assert data.shape == (16, 4)
+    assert np.max(np.abs(data[:, 3] - 0.4)) <= 1e-8
 
 
 def test_content_command(tmp_path, capsys):
@@ -456,21 +459,18 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     ("1,-inf", "row 3, column 2: not a finite number"),
 ], ids=["ragged", "non-numeric", "nan", "inf", "-inf"])
 def test_same_parse_error_through_every_reader(tmp_path, capsys, bad, where):
-    # one table parser: --csv, --points and a saved curve report the same
-    # file line and column
+    # one table parser: --csv and --points report the same file line and
+    # column
     table = tmp_path / "table.csv"
     table.write_text(f"r,f_hat\n0.5,0.25\n{bad}\n-1,2\n")
     good = tmp_path / "good.csv"
     good.write_text("0,0\n")
-    with pytest.raises(gr.ParseError) as exc:
-        gr.load_curve_csv(table)
-    assert str(exc.value) == f"{table}: {where}"
     for argv in (["--csv", str(table), "--points", str(good)],
                  ["--family", "gaussian", "--dim", "2", "--points",
                   str(table)]):
         assert run(["rank", *argv]) == 2
         assert capsys.readouterr().err == \
-            f"georank: configuration error: {exc.value}\n"
+            f"georank: configuration error: {table}: {where}\n"
 
 
 def test_reconstruct_json_carries_f_hat(tmp_path):
@@ -861,3 +861,34 @@ def test_config_file_json_cannot_read_exits_2(tmp_path, capsys, data):
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "georank: configuration error: cannot read --config:")
+
+
+def _readme_commands():
+    """Every `georank ...` line of the README's command-line examples,
+    continuation lines joined."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("Examples:\n\n```\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").split("\n")
+            if line.startswith("georank ")]
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(8)
+    (tmp_path / "pts.csv").write_text(csv_text(["x1", "x2", "x3"],
+                                               rng.standard_normal((5, 3))))
+    (tmp_path / "atoms.csv").write_text(csv_text(["x1", "x2"],
+                                                 rng.standard_normal((30, 2))))
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        assert run(argv[1:]) == 0, argv
+        capsys.readouterr()
+        if "-o" in argv:
+            out = argv[argv.index("-o") + 1]
+            if out.endswith(".csv"):
+                names, data = _read_table(tmp_path / out)
+                assert names and data.size, argv

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 import georank as gr
 from georank.errors import ParityError
+from georank.measures import _read_table
 
 
 def test_contour_beta_zero_degenerates():
@@ -66,8 +67,6 @@ def test_contour_rayfan_empirical_residuals_and_nesting():
         if prev is not None:
             assert np.all(c.radii > prev)
         prev = c.radii
-    # the contour CSV round-trips
-    import io
     c2 = gr.contour(ev, 0.5, n_rays=8)
     assert len(c2.radii) == 8
 
@@ -78,10 +77,21 @@ def test_contour_csv_roundtrip(tmp_path):
     c = gr.contour(ev, 0.45, n_rays=12)
     path = tmp_path / "contour.csv"
     c.save_csv(path)
-    back = gr.load_contour_csv(path)
-    assert np.allclose(back["directions"], c.directions)
-    assert np.allclose(back["radii"], c.radii)
-    assert np.allclose(back["rank_norm"], c.achieved)
+    names, data = _read_table(path)
+    assert names == ["u1", "u2", "radius", "rank_norm"]
+    assert np.array_equal(data[:, :2], c.directions)
+    assert np.array_equal(data[:, 2], c.radii)
+    assert np.array_equal(data[:, 3], c.achieved)
+
+
+def test_radial_contour_csv_roundtrip(tmp_path):
+    # a closed form's contour is a sphere: one row beta, r_beta
+    c = gr.contour(gr.RankEvaluator(gr.RadialClosedForm("cauchy", 3)), 0.5)
+    path = tmp_path / "contour.csv"
+    c.save_csv(path)
+    names, data = _read_table(path)
+    assert names == ["beta", "r_beta"]
+    assert data.tolist() == [[0.5, c.r_beta]]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +181,7 @@ def test_radial_content_oracle_matches_chi():
 
 def test_theta_zero_at_zero():
     ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
-    assert gr.theta_reindex(ev, 0.0, mc_budget=1000, seed=0) == 0.0
+    assert gr.rank_norm_cdf(ev, mc_budget=1000, seed=0)(0.0) == 0.0
 
 
 def test_theta_matches_radial_composition():
@@ -181,7 +191,7 @@ def test_theta_matches_radial_composition():
     want = _gauss3_ball_oracle(1.0)
     assert gr.theta_radial_exact(ev, beta) == pytest.approx(want, abs=1e-8)
     n = 100_000
-    got = gr.theta_reindex(ev, beta, mc_budget=n, seed=2)
+    got = float(gr.rank_norm_cdf(ev, mc_budget=n, seed=2)(beta))
     se = np.sqrt(want * (1 - want) / n)
     assert abs(got - want) <= 4 * se
 
@@ -193,19 +203,6 @@ def test_theta_monotone():
     vals = theta(betas)
     assert np.all(np.diff(vals) >= 0.0)
     assert vals[0] == 0.0
-
-
-def test_reindexed_rank_direction_and_magnitude():
-    ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
-    theta = gr.rank_norm_cdf(ev, mc_budget=50_000, seed=5)
-    x = np.array([1.2, -0.3])
-    r = ev.rank(x)
-    out = gr.reindexed_rank(ev, x, theta=theta)
-    assert np.allclose(out / np.linalg.norm(out), r / np.linalg.norm(r))
-    assert np.linalg.norm(out) == pytest.approx(
-        float(theta(np.linalg.norm(r))), rel=1e-12)
-    assert np.array_equal(gr.reindexed_rank(ev, np.zeros(2), theta=theta),
-                          np.zeros(2))
 
 
 def test_contour_on_monte_carlo_smoothed_rank():

@@ -87,6 +87,8 @@ def test_profile_scalar_gives_float_array_keeps_shape(fam, d):
     for name in ("g", "g_over_r", "g_prime", "h", "h_prime", "h_second",
                  "f"):
         fn = getattr(p, name)
+        if fn is None:
+            continue
         out = fn(r)
         assert isinstance(out, np.ndarray) and out.shape == r.shape
         for i, j in np.ndindex(r.shape):
@@ -116,6 +118,10 @@ def test_profile_derivatives_match_finite_differences(fam, d):
     h = 1e-5
     fd_g = (p.g(r + h) - p.g(r - h)) / (2 * h)
     assert np.max(np.abs(fd_g - p.g_prime(r))) <= 1e-6
+    # h' and h'' are filled where they are read, in d = 3 only
+    assert (p.h_prime is None) == (p.h_second is None) == (d == 2)
+    if d == 2:
+        return
     fd_h = (p.h(r + h) - p.h(r - h)) / (2 * h)
     assert np.max(np.abs(fd_h - p.h_prime(r))) <= 1e-6
     fd_h2 = (p.h(r + h) - 2 * p.h(r) + p.h(r - h)) / (h * h)
@@ -130,6 +136,8 @@ def test_profile_series_joins_closed_form(fam, d):
     p = gr.radial_profile(gr.RadialClosedForm(fam, d))
     below, above = 1e-3 * (1.0 - 1e-13), 1e-3
     for fn in (p.g, p.g_prime, p.h, p.h_prime, p.h_second, p.g_over_r):
+        if fn is None:
+            continue
         a, b = fn(below), fn(above)
         assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
 
@@ -149,6 +157,8 @@ def test_profile_unmasked_path_matches_masked(fam, d):
     is_small = mixed < 1e-3
     for name in PROFILE_FUNCS:
         fn = getattr(prof, name)
+        if fn is None:
+            continue
         got = fn(mixed)
         np.testing.assert_array_equal(fn(mixed[~is_small]), got[~is_small])
         np.testing.assert_array_equal(fn(mixed[is_small]), got[is_small])

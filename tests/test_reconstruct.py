@@ -17,7 +17,7 @@ from georank._quadrature import sphere_rule
 from georank.errors import (ConfigError, DecayError,
                             DimensionMismatchError, ParityError,
                             ToleranceError)
-from georank.measures import _row_dots
+from georank.measures import _read_table, _row_dots
 
 CFG = gr.ReconstructionConfig
 
@@ -379,6 +379,11 @@ def test_spectrum_refuses_frequencies_outside_its_window():
     for xi in (0.0, -0.25, 1e-10, 1e8):
         with pytest.raises(ValueError, match="FFTLog window"):
             gr.divergence_fourier_profile(ev, xi)
+    # and serves the whole window: next to its ends, 2 pi |xi| = 1.005e-8
+    # lies outside the window of the even nodes that the Hankel route's
+    # refinement check transforms
+    for rho in (1.005e-8, 0.99e8):
+        assert np.isfinite(gr.divergence_fourier_profile(ev, rho / (2 * np.pi)))
 
 
 def test_hankel_spectrum_peaks_within_2mb():
@@ -448,21 +453,43 @@ def test_hankel_route_reads_the_public_spectrum(monkeypatch):
     ev = gr.RankEvaluator(gr.RadialClosedForm("gaussian", 2))
     want = gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel")).f_hat
     seen = []
-    spectra = reconstruct._spectra
+    spectrum = reconstruct._spectrum
 
-    def spy(ev, rho):
-        out = spectra(ev, rho)
-        seen.append(out[0][0])
+    def spy(s, g, a, rho):
+        out = spectrum(s, g, a, rho)
+        seen.append(out)
         return out
 
-    monkeypatch.setattr(reconstruct, "_spectra", spy)
+    monkeypatch.setattr(reconstruct, "_spectrum", spy)
     got = reconstruct.reconstruct_isotropic_hankel(ev, CFG(method="hankel"))
     t, _ = _quadrature.gl_segments(
         np.linspace(0.0, reconstruct._HANKEL_T,
                     reconstruct._HANKEL_SEGMENTS + 1), reconstruct._HANKEL_GL)
-    assert [len(v) for v in seen] == [len(t)] == [512]
+    assert [len(v) for v in seen] == [len(t)] * 2 == [512] * 2
     assert np.array_equal(seen[0], gr.divergence_fourier_profile(ev, t))
     assert np.array_equal(got.f_hat, want)
+
+
+@pytest.mark.parametrize("fam", ["gaussian", "cauchy"])
+def test_each_spectrum_caller_transforms_only_what_it_reads(monkeypatch, fam):
+    # one FFTLog per divergence_fourier_profile call; two per Hankel route
+    # call, the spectrum and its n/2 refinement check
+    ev = gr.RankEvaluator(gr.RadialClosedForm(fam, 2))
+    sizes = []
+    fftlog = reconstruct._fftlog_j0
+
+    def spy(g, s, rho):
+        sizes.append(len(g))
+        return fftlog(g, s, rho)
+
+    monkeypatch.setattr(reconstruct, "_fftlog_j0", spy)
+    gr.divergence_fourier_profile(ev, 0.3)
+    gr.divergence_fourier_profile(ev, np.array([0.1, 1.0]))
+    n = reconstruct._SPECTRUM_NODES
+    assert sizes == [n, n]
+    sizes.clear()
+    gr.reconstruct_isotropic_hankel(ev, CFG(method="hankel"))
+    assert sizes == [n, n // 2]
 
 
 @pytest.mark.parametrize("fam", ["gaussian", "cauchy"])
@@ -763,10 +790,11 @@ def test_report_serialization_roundtrip(tmp_path):
     rep = gr.reconstruct_odd_local(ev, CFG(radii=np.linspace(0.1, 2, 8)))
     csv_path = tmp_path / "curve.csv"
     rep.save_curve_csv(csv_path)
-    back = gr.load_curve_csv(csv_path)
-    assert np.array_equal(back["r"], rep.radii)
-    assert np.array_equal(back["f_hat"], rep.f_hat)
-    assert np.array_equal(back["f_reference"], rep.f_reference)
+    names, back = _read_table(csv_path)
+    assert names == ["r", "f_hat", "f_reference", "abs_error"]
+    assert np.array_equal(back[:, 0], rep.radii)
+    assert np.array_equal(back[:, 1], rep.f_hat)
+    assert np.array_equal(back[:, 2], rep.f_reference)
     json_path = tmp_path / "report.json"
     rep.save_json(json_path)
     import json

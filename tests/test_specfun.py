@@ -104,13 +104,14 @@ def test_lambda_dl_trivial_and_closure():
 
 def test_erf_and_cdf_values():
     assert sf.erf(0.0) == 0.0
-    assert sf.std_normal_cdf(0.0) == 0.5
-    # oracle: high-precision quadrature of the normal density on [0, 1]
+    # oracle: high-precision quadrature of the normal density on [0, 1],
+    # half of erf(1/sqrt 2) = 2 Phi(1) - 1
     half, err = quad(lambda t: np.exp(-t * t / 2) / np.sqrt(2 * np.pi),
                      0.0, 1.0, limit=200)
     assert err < 1e-12
-    assert sf.std_normal_cdf(1.0) == pytest.approx(0.5 + half, abs=1e-12)
-    assert sf.std_normal_cdf(1.0) == pytest.approx(0.841344746, abs=1e-9)
+    assert sf.erf(1.0 / np.sqrt(2.0)) == pytest.approx(2 * half, abs=1e-12)
+    assert sf.erf(1.0 / np.sqrt(2.0)) == pytest.approx(2 * 0.841344746 - 1,
+                                                       abs=1e-9)
 
 
 def test_erf_against_scipy():
@@ -122,26 +123,11 @@ def test_erf_against_scipy():
     assert np.max(rel) <= 1e-10
 
 
-def test_erfc_far_tail_relative_accuracy():
-    x = np.array([3.0, 5.0, 10.0, 15.0, 20.0, 25.0])
-    rel = np.abs(sf.erfc(x) - sps.erfc(x)) / sps.erfc(x)
-    assert np.max(rel) <= 1e-12
-
-
-def test_normal_cdf_against_scipy():
-    from scipy.stats import norm
-    x = np.linspace(-37.0, 37.0, 999)
-    got = sf.std_normal_cdf(x)
-    want = norm.cdf(x)
-    mask = want > 1e-300
-    rel = np.abs(got[mask] - want[mask]) / want[mask]
-    assert np.max(rel) <= 1e-10
-
-
 def test_bessel_i0_values_and_scipy():
-    assert sf.bessel_i0(0.0) == 1.0
+    # I0 = e^x i0e, the form the d = 2 Gaussian profiles evaluate
+    assert sf.bessel_i0e(0.0) == 1.0
     x = np.linspace(0.0, 40.0, 401)
-    rel = np.abs(sf.bessel_i0(x) - sps.i0(x)) / sps.i0(x)
+    rel = np.abs(sf.bessel_i0e(x) * np.exp(x) - sps.i0(x)) / sps.i0(x)
     assert np.max(rel) <= 1e-10
 
 
@@ -151,15 +137,9 @@ def test_bessel_i0e_large_arguments():
     assert np.max(rel) <= 1e-10
 
 
-def test_bessel_i0_matches_series():
-    x = np.linspace(0.0, 5.0, 51)
-    rel = np.abs(sf.bessel_i0(x) - sf.bessel_i0_series(x, 20)) / sf.bessel_i0(x)
-    assert np.max(rel) <= 1e-12
-
-
 def test_bessel_i1_against_scipy():
     x = np.linspace(0.0, 40.0, 401)
-    got = sf.bessel_i1(x)
+    got = sf.bessel_i1e(x) * np.exp(x)
     want = sps.i1(x)
     mask = want > 0
     rel = np.abs(got[mask] - want[mask]) / want[mask]
